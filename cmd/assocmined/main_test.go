@@ -501,9 +501,12 @@ func TestMetricszCountersAdvance(t *testing.T) {
 	}
 	// Histograms expose {count,sum,buckets}; one job means at least one
 	// new observation in queue wait, job duration, and the eclat phases.
+	// The daemon mines in-memory datasets through the scan-free vertical
+	// path, which has no transformation phase by design; the root
+	// package's TestMinePhaseHistograms covers that histogram.
 	for _, name := range []string{
 		"service_queue_wait_ns", "service_job_duration_ns",
-		"mine_phase_initialization_ns", "mine_phase_transformation_ns", "mine_phase_asynchronous_ns",
+		"mine_phase_initialization_ns", "mine_phase_asynchronous_ns",
 	} {
 		h, ok := after[name].(map[string]any)
 		if !ok {

@@ -68,14 +68,8 @@ func MineClosedCHARMOpts(ctx context.Context, d *db.Database, minsup int, opts O
 func buildVerticalItems(d *db.Database, minsup int, st *Stats) *vertical {
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
 	st.Scans++
-	itemLists := make([]tidlist.List, d.NumItems)
-	for _, tx := range d.Transactions {
-		for _, it := range tx.Items {
-			itemLists[it] = append(itemLists[it], tx.TID)
-		}
-	}
 	var roots []member
-	for it, l := range itemLists {
+	for it, l := range tidlist.BuildItems(d, nil) {
 		if len(l) >= minsup {
 			roots = append(roots, member{set: itemset.Itemset{itemset.Item(it)}, tids: l})
 		}

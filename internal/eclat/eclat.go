@@ -66,6 +66,7 @@ func flushStats(prev, cur *Stats) {
 		(cur.Kernel.RoaringWords()-prev.Kernel.RoaringWords())*8)
 	mDiffsetsUsed.Add(cur.DiffsetClasses - prev.DiffsetClasses)
 	cur.Kernel.Flush(&prev.Kernel)
+	*prev = *cur
 }
 
 // Options selects algorithm variants used by the ablation benchmarks.
@@ -418,22 +419,6 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 	}
 }
 
-// classMembers assembles the sorted member list of one L2 equivalence
-// class from the global pair tid-list map, then applies the per-class
-// representation policy: with ReprAuto the class density (average member
-// support over the class's tid span) decides between sparse and bitset,
-// so dense classes get the word kernel and sparse ones keep the merge
-// loop — the decision is as localized as the class computation itself.
-func classMembers(class *eqclass.Class, lists map[tidlist.Pair]tidlist.List, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
-	out := make([]member, 0, len(class.Members))
-	for _, set := range class.Members {
-		out = append(out, member{set: set, tids: lists[tidlist.Pair{A: set[0], B: set[1]}]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
-	applyClassRepr(out, repr, ks)
-	return out
-}
-
 // applyClassRepr resolves repr against the class's density and, when the
 // outcome is one of the packed encodings (bitset or roaring), re-encodes
 // every member in place.
@@ -463,10 +448,12 @@ func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats
 
 // MineSequential runs Eclat on a single processor: one pass for global
 // item and 2-itemset counts, one pass to invert the database into
-// per-pair tid-lists, then in-memory class-by-class mining. Like the
-// parallel form it reads the horizontal data twice; the third "scan" of
-// the paper (reading the inverted lists back from disk) has no in-memory
-// counterpart here.
+// per-item tid-lists, then in-memory class-by-class mining, where each
+// class task builds its own pair tid-lists from the item lists. This is
+// in-core mining: the out-of-core engine with no residency budget. Like
+// the parallel form it reads the horizontal data twice; the third "scan"
+// of the paper (reading the inverted lists back from disk) has no
+// in-memory counterpart here.
 //
 // This is the convenience form for tests, benchmarks and experiments: no
 // cancellation (background context) and the paper's default options. The
@@ -505,44 +492,74 @@ func mineSequential(ctx context.Context, d *db.Database, minsup int, opts Option
 }
 
 // vertical is the output of the initialization and transformation phases
-// shared by MineSequentialOpts and MineParallelLocal: the result seeded
-// with L1 and L2, the pruned equivalence classes, and the global per-pair
-// tid-lists the asynchronous phase mines from.
+// shared by every class-decomposable entry point: the result seeded with
+// L1 and L2, the pruned equivalence classes, and the per-item tid-sets
+// each class derives its pair tid-lists from when it is mined. In-core
+// mining is the case with no residency.
 type vertical struct {
 	res     *mining.Result
 	classes []eqclass.Class
-	lists   map[tidlist.Pair]tidlist.List
+	// items holds the tid-set of every item a class reads (index = item
+	// id); they are operands only, never kernel scratch, because store
+	// sets are read-only mapped views.
+	items  []tidlist.Set
+	minsup int
+	// residency, when non-nil, marks a budgeted out-of-core run: classes
+	// are in bundle-locality order and every class mine is bracketed by
+	// Acquire/Release (see ooc.go).
+	residency Residency
 	// roots, when non-nil, holds pre-assembled member lists (one per
 	// class) instead of pair tid-lists — the CHARM root level, whose
 	// members are frequent singletons rather than L2 pairs.
 	roots [][]member
-	// ooc, when non-nil, marks a budgeted out-of-core run: lists is nil
-	// and member lists are re-derived per class inside the class's
-	// residency window (see ooc.go).
-	ooc *oocState
 }
 
 // members assembles the sorted, representation-resolved member list of
 // class ci — the one entry every engine driver fetches class operands
-// through.
+// through. An L2 class's pair tid-lists are derived here, inside the
+// class task (and its residency window), by intersecting the item sets.
+// The derivation charges a throwaway kernel-stats block: the pairs were
+// already counted during L2, so only the representation conversion
+// charges ks, and the work counters do not depend on where a pair list
+// came from. With ReprAuto the class density (average member support
+// over the class's tid span) then decides between sparse and bitset —
+// the decision is as localized as the class computation itself.
 func (v *vertical) members(ci int, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
 	if v.roots != nil {
 		m := v.roots[ci]
 		applyClassRepr(m, repr, ks)
 		return m
 	}
-	if v.ooc != nil {
-		return v.ooc.classMembers(&v.classes[ci], repr, ks)
+	if v.residency != nil {
+		mClassRefetches.Inc()
 	}
-	return classMembers(&v.classes[ci], v.lists, repr, ks)
+	class := &v.classes[ci]
+	var derive tidlist.KernelStats
+	var scratch tidlist.Set
+	out := make([]member, 0, len(class.Members))
+	for _, set := range class.Members {
+		tids, _, ok := tidlist.IntersectSetsSC(scratch, v.items[set[0]], v.items[set[1]], v.minsup, &derive)
+		scratch = tids
+		if !ok {
+			// Unreachable in practice: only pairs that passed minsup
+			// during L2 become class members, and the item sets have not
+			// changed since.
+			continue
+		}
+		out = append(out, member{set: set, tids: append(tidlist.List(nil), tidlist.TIDsOf(tids)...)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
+	applyClassRepr(out, repr, ks)
+	return out
 }
 
 // buildVertical runs the one-scan initialization (global 1- and 2-itemset
-// counts) and the vertical transformation (per-pair tid-lists), recording
-// the two phases on the ctx trace and charging st.Scans/st.Classes. A
-// targeted query (opts.MustContain) filters the seeded L1/L2 itemsets and
-// drops the equivalence classes whose prefix cannot contain the items —
-// their tid-lists are never built.
+// counts) and the vertical transformation (per-item tid-lists for the
+// items the surviving classes read), recording the two phases on the ctx
+// trace and charging st.Scans/st.Classes. A targeted query
+// (opts.MustContain) filters the seeded L1/L2 itemsets and drops the
+// equivalence classes whose prefix cannot contain the items — their
+// items are inverted only if another class reads them.
 func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, opts Options) *vertical {
 	must := canonMust(opts.MustContain)
 	res := &mining.Result{MinSup: minsup, NumTransactions: d.Len()}
@@ -576,20 +593,26 @@ func buildVertical(ctx context.Context, d *db.Database, minsup int, st *Stats, o
 	}
 	sp.End()
 
-	// Transformation: build tid-lists for every 2-itemset in a class with
-	// at least two members (singleton classes generate no candidates).
+	// Transformation: invert the database for the items of every class
+	// with at least two members (singleton classes generate no
+	// candidates). Pair tid-lists are derived per class when it is mined.
 	sp = tr.Start("transformation")
 	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
 	st.Classes = len(classes)
-	want := make(map[tidlist.Pair]bool)
+	keep := make([]bool, d.NumItems)
 	for _, c := range classes {
 		for _, m := range c.Members {
-			want[tidlist.Pair{A: m[0], B: m[1]}] = true
+			keep[m[0]], keep[m[1]] = true, true
 		}
 	}
 	st.Scans++
-	lists := tidlist.BuildPairs(d, want)
+	items := make([]tidlist.Set, d.NumItems)
+	for it, l := range tidlist.BuildItems(d, keep) {
+		if l != nil {
+			items[it] = l
+		}
+	}
 	sp.End()
 
-	return &vertical{res: res, classes: classes, lists: lists}
+	return &vertical{res: res, classes: classes, items: items, minsup: minsup}
 }

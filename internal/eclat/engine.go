@@ -313,19 +313,26 @@ func (e *engine) runSequential(ctx context.Context, st *Stats, ar *arena, sink E
 	ext := e.pol.newExt()
 	w := &worker{st: st, opts: e.opts, th: e.th, ar: ar, ext: ext}
 	emit := e.wrapEmit(sink)
+	prev := *st
 	for ci := range e.v.classes {
 		if err := ctx.Err(); err != nil {
 			return ext, err
 		}
-		before := *st
-		e.v.acquire(ci)
-		e.pol.explore(ctx, w, e.v.members(ci, e.opts.Representation, &st.Kernel), emit)
-		e.v.release(ci)
-		flushStats(&before, st)
-		mClasses.Inc()
+		e.mineClass(ctx, w, &prev, ci, emit)
 	}
 	sp.End()
 	return ext, ctx.Err()
+}
+
+// mineClass is the per-class step both drivers share: bracket class ci
+// with the residency layer, fetch its members, explore them with w, then
+// publish the class's counter delta since prev and count the class.
+func (e *engine) mineClass(ctx context.Context, w *worker, prev *Stats, ci int, emit Emitter) {
+	e.v.acquire(ci)
+	e.pol.explore(ctx, w, e.v.members(ci, e.opts.Representation, &w.st.Kernel), emit)
+	e.v.release(ci)
+	flushStats(prev, w.st)
+	mClasses.Inc()
 }
 
 // finish applies the engine's post-mine output shaping shared by every

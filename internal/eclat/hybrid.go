@@ -187,12 +187,12 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 			}
 			// The read-back is charged at the lists' encoded (on-disk)
 			// size — the same basis the transformation write used — not at
-			// the size of the in-memory sets classMembers materializes.
+			// the size of the in-memory sets pairMembers materializes.
 			for _, m := range sub[i].Members {
 				n, _ := tidlist.EncodedSize(lists[tidlist.Pair{A: m[0], B: m[1]}], opts.Representation)
 				myBytes += n
 			}
-			members := classMembers(&sub[i], lists, opts.Representation, &st.Kernel)
+			members := pairMembers(&sub[i], lists, opts.Representation, &st.Kernel)
 			policyAll{}.explore(context.Background(), w, members, local.Add)
 		}
 		p.ChargeScan(myBytes, pp)

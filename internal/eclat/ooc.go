@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/eqclass"
 	"repro/internal/obsv"
-	"repro/internal/tidlist"
 )
 
 const mnClassRefetches = "eclat_class_refetches_total"
@@ -34,46 +33,6 @@ type Residency interface {
 	Release(ci int)
 	// Done ends the run: everything may be evicted. Idempotent.
 	Done()
-}
-
-// oocState is the budgeted counterpart of vertical.lists: instead of
-// retaining every surviving L2 pair tid-list for the whole run — the
-// allocation the budget exists to avoid — it keeps only the item sets
-// (views over the store mapping) and re-derives a class's pair lists
-// when the class is mined, inside its Acquire/Release window. The
-// re-intersections charge none of the run's work counters (they would
-// break counter-equality with the in-core path); their volume is
-// observable as eclat_class_refetches_total.
-type oocState struct {
-	items  []tidlist.Set
-	minsup int
-	res    Residency
-}
-
-// classMembers re-derives the sorted, representation-resolved member
-// list of class from the item sets. The intersections use a local
-// scratch and a throwaway kernel-stats block; only the final
-// representation conversion charges ks, exactly as the in-core
-// classMembers does.
-func (o *oocState) classMembers(class *eqclass.Class, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
-	mClassRefetches.Inc()
-	var refetch tidlist.KernelStats
-	var scratch tidlist.Set
-	out := make([]member, 0, len(class.Members))
-	for _, set := range class.Members {
-		tids, _, ok := tidlist.IntersectSetsSC(scratch, o.items[int(set[0])], o.items[int(set[1])], o.minsup, &refetch)
-		scratch = tids
-		if !ok {
-			// Unreachable in practice: only pairs that passed minsup
-			// during L2 become class members, and the item sets have not
-			// changed since.
-			continue
-		}
-		out = append(out, member{set: set, tids: append(tidlist.List(nil), tidlist.TIDsOf(tids)...)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
-	applyClassRepr(out, repr, ks)
-	return out
 }
 
 // classItems returns the distinct items class c reads: its prefix item
@@ -161,13 +120,13 @@ func spanSchedule(classes []eqclass.Class, workers int) [][]int {
 // are no-ops for in-core runs so the engine drivers call them
 // unconditionally.
 func (v *vertical) acquire(ci int) {
-	if v.ooc != nil {
-		v.ooc.res.Acquire(ci)
+	if v.residency != nil {
+		v.residency.Acquire(ci)
 	}
 }
 
 func (v *vertical) release(ci int) {
-	if v.ooc != nil {
-		v.ooc.res.Release(ci)
+	if v.residency != nil {
+		v.residency.Release(ci)
 	}
 }

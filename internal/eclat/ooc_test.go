@@ -87,6 +87,40 @@ func TestOOCMatchesInCoreExactly(t *testing.T) {
 	}
 }
 
+// TestClassRefetchCounter pins the meaning of
+// eclat_class_refetches_total: every class derives its pair lists from
+// the item sets, but only a budgeted mine counts that as a refetch, so
+// the counter advances by Stats.Classes under a residency and by 0
+// without one.
+func TestClassRefetchCounter(t *testing.T) {
+	const segBytes = 64
+	ds := oocDataset(t, 250, segBytes)
+	in := VerticalInput{NumTransactions: ds.NumTransactions(), Items: ds.Sets(tidlist.ReprSparse)}
+	for _, workers := range []int{1, 2} {
+		for _, budgeted := range []bool{false, true} {
+			bin := in
+			if budgeted {
+				bin.Residency = ds.NewResidency(segBytes)
+			}
+			before := mClassRefetches.Value()
+			_, st, err := MineVerticalLocal(context.Background(), bin, 3, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if budgeted {
+				want = int64(st.Classes)
+			}
+			if st.Classes == 0 {
+				t.Fatalf("workers=%d: no classes mined", workers)
+			}
+			if got := mClassRefetches.Value() - before; got != want {
+				t.Fatalf("workers=%d budgeted=%v: refetches advanced by %d, want %d", workers, budgeted, got, want)
+			}
+		}
+	}
+}
+
 // TestOOCUnlimitedBudgetIsInCore pins the fallback: a budget the whole
 // mapping fits under yields no residency tracker at all, so the caller
 // mines in-core through the identical harness.

@@ -242,7 +242,7 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 			acc = append(acc, mining.FrequentItemset{Set: set, Support: sup})
 		}
 		for _, ci := range sched.ClassesOf(p.ID()) {
-			pol.explore(context.Background(), w, classMembers(&classes[ci], lists, opts.Representation, &st.Kernel), emit)
+			pol.explore(context.Background(), w, pairMembers(&classes[ci], lists, opts.Representation, &st.Kernel), emit)
 		}
 		chargeKernel(p, &st)
 		locals[p.ID()] = acc
@@ -271,4 +271,19 @@ func chargeKernel(p *cluster.Proc, st *Stats) {
 	p.ChargeCPU(st.Intersections)
 	var prev Stats
 	flushStats(&prev, st)
+}
+
+// pairMembers assembles the sorted, representation-resolved member list
+// of one L2 class from the global pair tid-lists the simulated cluster's
+// transformation phase exchanged — the paper's layout, which the
+// real-hardware engine replaces by deriving pair lists inside the class
+// task (vertical.members).
+func pairMembers(class *eqclass.Class, lists map[tidlist.Pair]tidlist.List, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
+	out := make([]member, 0, len(class.Members))
+	for _, set := range class.Members {
+		out = append(out, member{set: set, tids: lists[tidlist.Pair{A: set[0], B: set[1]}]})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].set.Less(out[j].set) })
+	applyClassRepr(out, repr, ks)
+	return out
 }

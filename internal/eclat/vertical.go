@@ -25,11 +25,12 @@ type VerticalInput struct {
 	// are items with no transactions.
 	Items []tidlist.Set
 	// Residency, when non-nil, switches the mine to the budgeted
-	// out-of-core protocol: classes are ordered by bundle locality, pair
-	// tid-lists are re-derived per class instead of retained for the
-	// whole run, and every class mine is bracketed by Acquire/Release so
-	// the store can evict dead segments. Output bytes are identical to
-	// the in-core path at every budget and worker count.
+	// out-of-core protocol: classes are ordered by bundle locality and
+	// every class mine is bracketed by Acquire/Release, so each class
+	// builds its pair tid-lists inside its residency window and the store
+	// can evict dead segments. Nil is in-core mining: the same engine
+	// with no budget. Output bytes are identical at every budget and
+	// worker count.
 	Residency Residency
 }
 
@@ -37,11 +38,14 @@ type VerticalInput struct {
 // off the per-item supports, L2 comes from pairwise short-circuited
 // intersections of the frequent items' tid-sets, and the class recursion
 // then proceeds exactly as in MineSequential/MineParallelLocal (whose
-// class-mining cores it shares). The result is byte-identical to mining
-// the corresponding horizontal database with the same minsup and
-// options: both paths produce the same L1/L2 (a pair is frequent in the
-// intersection iff its co-occurrence count passes minsup) and the same
-// sorted pair tid-lists, and Result.Sort imposes the canonical order.
+// class-mining cores it shares), each class task building its pair
+// tid-lists from the item sets. in.Residency nil is in-core mining; a
+// residency adds the budgeted out-of-core protocol. The result is
+// byte-identical to mining the corresponding horizontal database with
+// the same minsup and options: both paths produce the same L1/L2 (a pair
+// is frequent in the intersection iff its co-occurrence count passes
+// minsup) and the same sorted pair tid-lists, and Result.Sort imposes
+// the canonical order.
 //
 // Stats.Scans is always 0 — no horizontal pass happens — which is the
 // figure restart-without-rebuild tests assert on. opts.Workers > 1 mines
@@ -75,7 +79,7 @@ func MineVerticalLocal(ctx context.Context, in VerticalInput, minsup int, opts O
 }
 
 // buildVerticalFromSets is buildVertical's counterpart for data that is
-// already vertical: the same (res, classes, lists) bundle, built from
+// already vertical: the same (res, classes, items) bundle, built from
 // per-item tid-sets instead of horizontal scans. Everything — L1, L2,
 // class partitioning — happens under the "initialization" span; there is
 // no transformation phase because the data arrives transformed, so
@@ -104,19 +108,10 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 	}
 
 	// L2: pairwise intersections over frequent items, short-circuited on
-	// minsup. Aborted results live only in scratch; surviving pair lists
-	// are copied out as sorted sparse lists — the same bytes BuildPairs
-	// produces on the horizontal path, since intersection preserves tid
-	// order. Under a residency budget the counting pass runs identically
-	// (so the work counters stay equal to the in-core path) but the pair
-	// lists are not retained: they are re-derived per class inside the
-	// class's residency window instead.
-	ooc := in.Residency != nil
+	// minsup. Aborted and surviving results alike live only in scratch:
+	// each class derives its pair lists from the item sets when it is
+	// mined (see vertical.members).
 	var scratch tidlist.Set
-	var lists map[tidlist.Pair]tidlist.List
-	if !ooc {
-		lists = make(map[tidlist.Pair]tidlist.List)
-	}
 	var l2 []itemset.Itemset
 	for i := 0; i < len(frequent) && ctx.Err() == nil; i++ {
 		a := frequent[i]
@@ -135,36 +130,18 @@ func buildVerticalFromSets(ctx context.Context, in VerticalInput, minsup int, st
 				res.Add(set, tids.Support())
 			}
 			l2 = append(l2, set)
-			if !ooc {
-				lists[tidlist.Pair{A: itemset.Item(a), B: itemset.Item(b)}] = append(tidlist.List(nil), tidlist.TIDsOf(tids)...)
-			}
 		}
 	}
 
 	classes := filterClasses(eqclass.PruneSingletons(eqclass.Partition(l2)), must)
 	st.Classes = len(classes)
-	if ooc {
+	if in.Residency != nil {
 		// Store-aware scheduling: run classes in bundle-segment order
 		// (the canonical result sort makes class order invisible in the
 		// output), then hand the per-class item needs to the residency
 		// layer. Indices in the plan are final class indices.
 		orderClassesByLocality(classes, in.Residency)
 		planResidency(classes, in.Residency)
-		return &vertical{res: res, classes: classes,
-			ooc: &oocState{items: in.Items, minsup: minsup, res: in.Residency}}
 	}
-	// Drop pair lists no surviving class needs (singleton classes generate
-	// no candidates), mirroring buildVertical's want-set discipline.
-	want := make(map[tidlist.Pair]bool, len(lists))
-	for _, c := range classes {
-		for _, m := range c.Members {
-			want[tidlist.Pair{A: m[0], B: m[1]}] = true
-		}
-	}
-	for p := range lists {
-		if !want[p] {
-			delete(lists, p)
-		}
-	}
-	return &vertical{res: res, classes: classes, lists: lists}
+	return &vertical{res: res, classes: classes, items: in.Items, minsup: minsup, residency: in.Residency}
 }

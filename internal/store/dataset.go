@@ -561,13 +561,7 @@ func DatasetMeta(name, source string, d *db.Database) Meta {
 // VerticalLists builds the per-item vertical transform of d in one
 // horizontal pass, the slice CreateDataset persists.
 func VerticalLists(d *db.Database) []tidlist.List {
-	lists := make([]tidlist.List, d.NumItems)
-	for _, tx := range d.Transactions {
-		for _, it := range tx.Items {
-			lists[it] = append(lists[it], tx.TID)
-		}
-	}
-	return lists
+	return tidlist.BuildItems(d, nil)
 }
 
 // partialPath is the temporary directory name CreateDataset stages into.

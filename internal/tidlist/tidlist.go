@@ -141,8 +141,8 @@ func DiffInto(dst, a, b List) List {
 }
 
 // Pair keys a 2-itemset {A, B} with A < B, the granularity at which the
-// vertical transformation operates (tid-lists exist per frequent
-// 2-itemset; 1-itemset lists are never built, per section 5.1).
+// paper's vertical transformation operates (tid-lists exist per frequent
+// 2-itemset, per section 5.1).
 type Pair struct {
 	A, B itemset.Item
 }
@@ -157,6 +157,23 @@ func MakePair(a, b itemset.Item) Pair {
 
 // Itemset returns the pair as a 2-itemset.
 func (p Pair) Itemset() itemset.Itemset { return itemset.Itemset{p.A, p.B} }
+
+// BuildItems scans a horizontal partition once and returns the tid-list
+// of every item i with keep[i] set (index = item id; nil lists for the
+// rest), or of every item when keep is nil — the horizontal→vertical
+// inversion at the 1-itemset level. Lists come out sorted because
+// transactions are visited in TID order.
+func BuildItems(part *db.Database, keep []bool) []List {
+	lists := make([]List, part.NumItems)
+	for _, tx := range part.Transactions {
+		for _, it := range tx.Items {
+			if keep == nil || keep[it] {
+				lists[it] = append(lists[it], tx.TID)
+			}
+		}
+	}
+	return lists
+}
 
 // BuildPairs scans a horizontal partition once and returns the partial
 // tid-lists of every pair in want. This is Eclat's second local scan

@@ -224,6 +224,34 @@ func TestBuildPairs(t *testing.T) {
 	}
 }
 
+func TestBuildItems(t *testing.T) {
+	d := &db.Database{
+		NumItems: 5,
+		Transactions: []db.Transaction{
+			{TID: 0, Items: itemset.New(1, 2, 3)},
+			{TID: 1, Items: itemset.New(1, 3)},
+			{TID: 2, Items: itemset.New(2, 3)},
+			{TID: 3, Items: itemset.New(1, 2, 3)},
+		},
+	}
+	all := BuildItems(d, nil)
+	if len(all) != 5 || all[0] != nil || all[4] != nil {
+		t.Fatalf("BuildItems(nil) = %v", all)
+	}
+	if got := all[1]; got.Support() != 3 || got[0] != 0 || got[2] != 3 {
+		t.Fatalf("T(1) = %v", got)
+	}
+	for it, l := range all {
+		if err := l.Validate(); err != nil {
+			t.Fatalf("list for item %d not sorted: %v", it, err)
+		}
+	}
+	kept := BuildItems(d, []bool{false, false, true, false, false})
+	if kept[1] != nil || kept[3] != nil || kept[2].Support() != 3 {
+		t.Fatalf("BuildItems(keep {2}) = %v", kept)
+	}
+}
+
 func TestConcatPartitions(t *testing.T) {
 	got := ConcatPartitions([]List{mk(1, 2), nil, mk(5, 9), mk(12)})
 	if err := got.Validate(); err != nil {
