@@ -45,7 +45,7 @@ func run(args []string, stdout io.Writer) error {
 	genTx := fs.Int("gen", 0, "generate a T10.I6 database with this many transactions instead of reading one")
 	support := fs.Float64("support", 0.25, "minimum support in percent")
 	algoName := fs.String("algo", "eclat", "algorithm: eclat, apriori, countdist, datadist, canddist, hybrid, partition, sampling, dhp")
-	reprName := fs.String("repr", "auto", "tid-set representation for Eclat-family algorithms: auto, sparse, bitset, roaring")
+	reprName := fs.String("repr", "auto", "tid-set representation for Eclat-family algorithms: auto, sparse, roaring (bitset is an alias of roaring)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the real (non-simulated) eclat path; 0 means GOMAXPROCS, 1 forces sequential")
 	topk := fs.Int("topk", 0, "mine only the K highest-support itemsets (local eclat path only; the support threshold rises adaptively)")
 	contains := fs.String("contains", "", "comma-separated item ids every mined itemset must contain (targeted query, local eclat path only)")

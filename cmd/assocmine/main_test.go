@@ -92,7 +92,8 @@ func TestRunSaveAndLoad(t *testing.T) {
 	for _, extra := range [][]string{
 		{},
 		{"-repr", "sparse"},
-		{"-repr", "bitset"},
+		{"-repr", "roaring"},
+		{"-repr", "bitset"}, // alias of roaring
 		{"-parallel", "2"},
 		{"-maximal"},
 		{"-algo", "apriori"},

@@ -13,9 +13,10 @@
 //
 //	POST   /v1/jobs              {"dataset":"t10","algorithm":"eclat","supportPct":0.25}
 //	                             optional: "variant":"all|maximal|closed",
-//	                             "representation":"auto|sparse|bitset" (tid-set
+//	                             "representation":"auto|sparse|roaring" (tid-set
 //	                             encoding for Eclat-family algorithms; auto
-//	                             adapts per equivalence class by density)
+//	                             adapts per equivalence class by density;
+//	                             "bitset" is an alias of roaring)
 //	GET    /v1/jobs/{id}         job status
 //	GET    /v1/jobs/{id}/result  result text (support<TAB>items per line)
 //	DELETE /v1/jobs/{id}         cancel
@@ -27,7 +28,10 @@
 //	GET    /debug/pprof/         runtime profiling (profile, heap, goroutine, trace, ...)
 //
 // Errors come back as {"error":{"code","message"}} with a stable
-// machine-readable code.
+// machine-readable code. Request bodies over 1 MiB are refused with 413
+// request_too_large; slow or idle connections are closed by the server
+// timeouts below (there is no write timeout, because large results
+// stream).
 //
 // SIGINT/SIGTERM drain running jobs before exit (bounded by -drain).
 package main
@@ -51,6 +55,16 @@ import (
 	"repro/internal/db"
 	"repro/internal/service"
 	"repro/internal/store"
+)
+
+// Server timeouts. Headers and the (at most 1 MiB) request body must
+// arrive promptly, so a slow client cannot pin a connection; idle
+// keep-alive connections are reaped. WriteTimeout stays unset: a result
+// may be large and stream for as long as the client keeps reading.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -134,7 +148,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: service.NewHandler(svc)}
+	srv := &http.Server{
+		Handler:           service.NewHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(stdout, "assocmined listening on %s (workers=%d queue=%d cache=%dMiB)\n",
 		ln.Addr(), *workers, *queue, *cacheMB)
 

@@ -179,6 +179,57 @@ func TestEndToEndJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestRepresentationBitsetAliasSharesRoaringEntry submits a "bitset" job
+// and then a "roaring" job for the same query: "bitset" parses as
+// roaring, so the pair mines once and the second job is the one cache
+// hit, serving the bytes a direct roaring repro.Mine produces.
+func TestRepresentationBitsetAliasSharesRoaringEntry(t *testing.T) {
+	ts, svc := newServer(t, service.Config{Workers: 1, QueueDepth: 4}, map[string]int{"t10": 1000})
+	ds, err := svc.Registry().Get("t10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ds.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _, err := repro.Mine(context.Background(), d, repro.MineOptions{SupportPct: 1.0, Representation: repro.ReprRoaring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := repro.WriteResult(&want, direct); err != nil {
+		t.Fatal(err)
+	}
+
+	var ids []string
+	for i, repr := range []string{"bitset", "roaring"} {
+		v, resp := postJob(t, ts, fmt.Sprintf(`{"dataset":"t10","supportPct":1.0,"representation":%q}`, repr))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: POST /v1/jobs %d", repr, resp.StatusCode)
+		}
+		done := pollUntil(t, ts, v.ID, func(v service.View) bool { return v.Status.Terminal() })
+		if done.Status != service.StatusDone || done.Cached != (i == 1) || done.Representation != "roaring" {
+			t.Fatalf("%s job: %+v, want done, cached=%v, representation roaring", repr, done, i == 1)
+		}
+		ids = append(ids, v.ID)
+	}
+	if st := getStats(t, ts); st.Cache.Hits != 1 {
+		t.Fatalf("/statsz cache hits = %d, want 1", st.Cache.Hits)
+	}
+	for _, id := range ids {
+		res, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("job %s result differs from a direct roaring mine", id)
+		}
+	}
+}
+
 // TestCancelAndBackpressure drives a single-worker, single-slot queue:
 // the running job keeps the worker busy, the queued job is canceled, and
 // a third submission overflows with 429.

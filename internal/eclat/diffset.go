@@ -46,8 +46,8 @@ type dmember struct {
 // output is identical to MineSequentialOpts's (tested property). The
 // diffset policy runs on the class-task engine; this entry point mines
 // sequentially (Workers is ignored, honoring the name), and TopK and
-// MustContain are ignored like the other variant forms. Under the bitset
-// encoding the differences use the AND NOT word kernel.
+// MustContain are ignored like the other variant forms. Under the roaring
+// encoding the differences use the container AND NOT kernels.
 func MineSequentialDiffsetsOpts(ctx context.Context, d *db.Database, minsup int, opts Options) (*mining.Result, DiffStats, error) {
 	if minsup < 1 {
 		minsup = 1

@@ -30,7 +30,7 @@ import (
 // Global intersection-work counters (see /metricsz). They are flushed
 // once per equivalence class — the hot inner loop still updates only the
 // run-local Stats struct, so the atomics never appear on the
-// per-intersection path. Kernel-dispatch counters (sparse vs dense
+// per-intersection path. Kernel-dispatch counters (sparse vs roaring
 // intersections, words touched, conversions) live in internal/tidlist
 // and are flushed on the same per-class cadence.
 const (
@@ -62,8 +62,7 @@ func flushStats(prev, cur *Stats) {
 	mIntersectOps.Add(cur.IntersectOps - prev.IntersectOps)
 	mTidlistBytes.Add((cur.Kernel.SparseOps()-prev.Kernel.SparseOps())*tidBytes +
 		(cur.Kernel.WordsTouched()-prev.Kernel.WordsTouched())*8 +
-		(cur.Kernel.RoaringElemOps()-prev.Kernel.RoaringElemOps())*2 +
-		(cur.Kernel.RoaringWords()-prev.Kernel.RoaringWords())*8)
+		(cur.Kernel.RoaringElemOps()-prev.Kernel.RoaringElemOps())*2)
 	mDiffsetsUsed.Add(cur.DiffsetClasses - prev.DiffsetClasses)
 	cur.Kernel.Flush(&prev.Kernel)
 	*prev = *cur
@@ -96,9 +95,8 @@ type Options struct {
 	// Representation selects the tid-set representation the class
 	// recursion mines through: ReprAuto (the zero value) decides per
 	// equivalence class by density, ReprSparse forces the paper's sorted
-	// slice with the scalar merge kernel, ReprBitset forces the
-	// word-packed dense kernel, ReprRoaring forces the containerized
-	// compressed kernels.
+	// slice with the scalar merge kernel, ReprRoaring forces the
+	// containerized compressed kernels.
 	Representation tidlist.Repr
 	// NoDiffsets disables the dEclat diffset transition: every sub-class
 	// carries full tid-lists even past the density break-even where
@@ -140,8 +138,8 @@ type Stats struct {
 	Intersections  int64 // tid-set intersections attempted
 	ShortCircuited int64 // intersections aborted by the support bound
 	// IntersectOps counts kernel operations: element comparisons for the
-	// sparse merge kernel, 64-bit words touched for the dense kernel (the
-	// per-kind split is in Kernel).
+	// sparse merge kernel, uint16 comparisons and 64-bit words touched
+	// for the roaring containers (the per-kind split is in Kernel).
 	IntersectOps int64
 	Classes      int // top-level equivalence classes mined
 	// Workers is the number of mining goroutines a MineParallelLocal run
@@ -159,7 +157,7 @@ type Stats struct {
 	// is set (equal to the floor otherwise).
 	EffectiveMinSup int
 	// Kernel is the representation-dispatch accounting of the run: how
-	// many intersections went to the sparse, dense, mixed and roaring
+	// many intersections went to the sparse, mixed and roaring
 	// kernels, their per-kind work units, and representation
 	// conversions.
 	Kernel tidlist.KernelStats
@@ -177,7 +175,7 @@ func (s *Stats) merge(w *Stats) {
 }
 
 // member is one itemset of the current level within a class, with its
-// tid-set (sparse or dense, per the class's chosen representation).
+// tid-set (sparse or roaring, per the class's chosen representation).
 type member struct {
 	set  itemset.Itemset
 	tids tidlist.Set
@@ -420,8 +418,7 @@ func computeFrequentDiffCtx(ctx context.Context, members []dmember, th *threshol
 }
 
 // applyClassRepr resolves repr against the class's density and, when the
-// outcome is one of the packed encodings (bitset or roaring), re-encodes
-// every member in place.
+// outcome is roaring, re-encodes every member in place.
 func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats) {
 	chosen := repr
 	if repr == tidlist.ReprAuto {
@@ -438,8 +435,7 @@ func applyClassRepr(members []member, repr tidlist.Repr, ks *tidlist.KernelStats
 		}
 		chosen = tidlist.ChooseRepr(repr, sum/len(members), span)
 	}
-	switch chosen {
-	case tidlist.ReprBitset, tidlist.ReprRoaring:
+	if chosen == tidlist.ReprRoaring {
 		for i := range members {
 			members[i].tids = tidlist.Convert(members[i].tids, chosen, ks)
 		}
@@ -522,7 +518,7 @@ type vertical struct {
 // already counted during L2, so only the representation conversion
 // charges ks, and the work counters do not depend on where a pair list
 // came from. With ReprAuto the class density (average member support
-// over the class's tid span) then decides between sparse and bitset —
+// over the class's tid span) then decides between sparse and roaring —
 // the decision is as localized as the class computation itself.
 func (v *vertical) members(ci int, repr tidlist.Repr, ks *tidlist.KernelStats) []member {
 	if v.roots != nil {

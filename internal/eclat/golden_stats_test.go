@@ -27,7 +27,6 @@ type kernelGold struct {
 	SparseOps      int64 `json:"sparseOps"`
 	WordsTouched   int64 `json:"wordsTouched"`
 	RoaringElemOps int64 `json:"roaringElemOps"`
-	RoaringWords   int64 `json:"roaringWords"`
 	Conversions    int64 `json:"conversions"`
 }
 
@@ -123,7 +122,6 @@ func kernelOf(k *tidlist.KernelStats) kernelGold {
 		SparseOps:      k.SparseOps(),
 		WordsTouched:   k.WordsTouched(),
 		RoaringElemOps: k.RoaringElemOps(),
-		RoaringWords:   k.RoaringWords(),
 		Conversions:    k.Conversions(),
 	}
 }

@@ -126,7 +126,7 @@ func MineHybridOpts(cl *cluster.Cluster, d *db.Database, minsup int, opts Option
 			if dstHost != host {
 				n, enc := tidlist.EncodedSize(tids, opts.Representation)
 				sentBytes += n
-				if enc == tidlist.ReprBitset {
+				if enc != tidlist.ReprSparse {
 					sentDense += n
 				} else {
 					sentSparse += n

@@ -16,7 +16,7 @@ const benchTx = 20000
 func BenchmarkMineParallelLocal(b *testing.B) {
 	d := gen.MustGenerate(gen.T10I6(benchTx))
 	minsup := d.MinSupCount(0.25)
-	for _, repr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset} {
+	for _, repr := range []tidlist.Repr{tidlist.ReprSparse} {
 		for _, workers := range []int{0, 1, 2, 4, 8} {
 			name := fmt.Sprintf("repr=%s/workers=%d", repr, workers)
 			if workers == 0 {

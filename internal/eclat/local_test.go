@@ -27,7 +27,7 @@ func byteIdentical(a, b *mining.Result) bool {
 func TestParallelLocalMatchesSequentialExactly(t *testing.T) {
 	d := gen.MustGenerate(gen.T10I6(2000))
 	minsup := d.MinSupCount(0.6)
-	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset} {
+	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring} {
 		opts := Options{Representation: repr}
 		want, wantSt, err := MineSequentialOpts(context.Background(), d, minsup, opts)
 		if err != nil {

@@ -46,7 +46,7 @@ func TestOOCMatchesInCoreExactly(t *testing.T) {
 	in := VerticalInput{NumTransactions: ds.NumTransactions(), Items: ds.Sets(tidlist.ReprSparse)}
 	minsup := 3
 
-	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring} {
+	for _, repr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring} {
 		opts := Options{Representation: repr, Workers: 1}
 		want, wantSt, err := MineVerticalLocal(context.Background(), in, minsup, opts)
 		if err != nil {

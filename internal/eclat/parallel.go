@@ -171,7 +171,7 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 			if dst != p.ID() {
 				n, enc := tidlist.EncodedSize(tids, opts.Representation)
 				sentBytes += n
-				if enc == tidlist.ReprBitset {
+				if enc != tidlist.ReprSparse {
 					sentDense += n
 				} else {
 					sentSparse += n
@@ -260,14 +260,12 @@ func clusterMine(cl *cluster.Cluster, d *db.Database, minsup int, opts Options, 
 
 // chargeKernel charges a processor's asynchronous-phase intersection work
 // at the per-kernel rates — element comparisons of the sparse and mixed
-// kernels at OpIntersect, words of the dense kernel at OpBitsetWord, and
-// the roaring containers at the matching per-container rates (array and
-// run containers compare elements like the merge kernel, bitmap
-// containers stream words like the dense kernel) — and flushes the run's
-// kernel-dispatch counts to the metrics registry.
+// kernels and of roaring's array and run containers at OpIntersect, and
+// words streamed by roaring's bitmap containers at OpBitsetWord — and
+// flushes the run's kernel-dispatch counts to the metrics registry.
 func chargeKernel(p *cluster.Proc, st *Stats) {
 	p.ChargeOps(cluster.OpIntersect, st.Kernel.SparseOps()+st.Kernel.RoaringElemOps())
-	p.ChargeOps(cluster.OpBitsetWord, st.Kernel.WordsTouched()+st.Kernel.RoaringWords())
+	p.ChargeOps(cluster.OpBitsetWord, st.Kernel.WordsTouched())
 	p.ChargeCPU(st.Intersections)
 	var prev Stats
 	flushStats(&prev, st)

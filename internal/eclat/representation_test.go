@@ -55,18 +55,18 @@ var reprVariants = []struct {
 	}},
 }
 
-var allReprs = []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring, tidlist.ReprAuto}
+var allReprs = []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprRoaring, tidlist.ReprAuto}
 
 // TestAllVariantsAgreeAcrossRepresentations is the acceptance criterion
 // for the representation layer: every eclat variant must produce
-// identical itemsets under sparse, bitset, and auto. The minsup sweep
+// identical itemsets under sparse, roaring, and auto. The minsup sweep
 // includes values high enough to trigger short-circuit aborts on most
 // candidates, so a partial prefix leaking into a result would break the
 // equality.
 func TestAllVariantsAgreeAcrossRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	dbs := []*db.Database{
-		testutil.RandomDB(rng, 120, 10, 6), // dense: auto goes bitset
+		testutil.RandomDB(rng, 120, 10, 6), // dense: auto goes roaring
 		testutil.RandomDB(rng, 400, 25, 5), // sparser classes
 		gen.MustGenerate(gen.T10I6(500)),   // paper-style synthetic data
 	}
@@ -105,26 +105,31 @@ func TestRepresentationsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestBitsetRunDispatchesDenseKernel guards against the bitset path
-// silently falling back to the sparse merge: an explicit bitset run must
-// record dense kernel dispatches in its stats.
+// TestBitsetRunDispatchesDenseKernel guards the "bitset" name: it
+// parses as roaring, and a run under it on dense data must stream words
+// through roaring's bitmap containers — the dense word kernel — rather
+// than fall back to the sparse merge.
 func TestBitsetRunDispatchesDenseKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	d := testutil.RandomDB(rng, 200, 12, 7)
-	_, st, _ := MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprBitset})
+	repr, err := tidlist.ParseRepr("bitset")
+	if err != nil || repr != tidlist.ReprRoaring {
+		t.Fatalf(`ParseRepr("bitset") = %v, %v; want roaring`, repr, err)
+	}
+	_, st, _ := MineSequentialOpts(context.Background(), d, 4, Options{Representation: repr})
 	if st.Intersections == 0 {
 		t.Skip("no intersections at this support; adjust test data")
 	}
-	if st.Kernel.DenseIntersections() == 0 {
-		t.Fatal("explicit bitset run performed no dense kernel dispatches")
+	if st.Kernel.RoaringIntersections() == 0 {
+		t.Fatal(`"bitset" run performed no containerized dispatches`)
 	}
 	if st.Kernel.WordsTouched() == 0 {
-		t.Fatal("dense dispatches must touch words")
+		t.Fatal(`"bitset" run on dense data touched no bitmap words`)
 	}
-	// A sparse run on the same data must not touch the dense kernel.
+	// A sparse run on the same data must not touch the word kernel.
 	_, st, _ = MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprSparse})
-	if st.Kernel.DenseIntersections() != 0 || st.Kernel.WordsTouched() != 0 {
-		t.Fatal("explicit sparse run dispatched to the dense kernel")
+	if st.Kernel.RoaringIntersections() != 0 || st.Kernel.WordsTouched() != 0 {
+		t.Fatal("explicit sparse run dispatched to the word kernel")
 	}
 }
 
@@ -133,23 +138,23 @@ func TestBitsetRunDispatchesDenseKernel(t *testing.T) {
 func TestAdaptivePolicySwitchesByDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	// Dense: 10 items over 120 transactions, every class far above 1/32
-	// density, so auto must pack classes into bitsets.
+	// density, so auto must pack classes into roaring.
 	dense := testutil.RandomDB(rng, 120, 8, 6)
 	_, st, _ := MineSequentialOpts(context.Background(), dense, 2, Options{Representation: tidlist.ReprAuto})
-	if st.Intersections > 0 && st.Kernel.DenseIntersections() == 0 {
-		t.Fatal("auto on dense data never used the bitset kernel")
+	if st.Intersections > 0 && (st.Kernel.RoaringIntersections() == 0 || st.Kernel.WordsTouched() == 0) {
+		t.Fatal("auto on dense data never used roaring's bitmap kernel")
 	}
 	// Sparse: supports near minsup over a wide tid range keep density
 	// far below the threshold, so auto must stay on the merge kernel.
 	sparse := testutil.RandomDB(rng, 4000, 120, 4)
 	_, st, _ = MineSequentialOpts(context.Background(), sparse, 2, Options{Representation: tidlist.ReprAuto})
-	if st.Kernel.DenseIntersections() != 0 {
-		t.Fatalf("auto on sparse data dispatched %d dense intersections", st.Kernel.DenseIntersections())
+	if st.Kernel.RoaringIntersections() != 0 {
+		t.Fatalf("auto on sparse data dispatched %d roaring intersections", st.Kernel.RoaringIntersections())
 	}
 }
 
-// TestRoaringRunDispatchesContainerKernel is the roaring analog of the
-// dense-kernel guard: an explicit roaring run must record containerized
+// TestRoaringRunDispatchesContainerKernel guards the explicit roaring
+// path: an explicit roaring run must record containerized
 // dispatches and container work, and a sparse run must record none.
 func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
@@ -161,7 +166,7 @@ func TestRoaringRunDispatchesContainerKernel(t *testing.T) {
 	if st.Kernel.RoaringIntersections() == 0 {
 		t.Fatal("explicit roaring run performed no containerized dispatches")
 	}
-	if st.Kernel.RoaringElemOps()+st.Kernel.RoaringWords() == 0 {
+	if st.Kernel.RoaringElemOps()+st.Kernel.WordsTouched() == 0 {
 		t.Fatal("containerized dispatches must record container work")
 	}
 	_, st, _ = MineSequentialOpts(context.Background(), d, 4, Options{Representation: tidlist.ReprSparse})
@@ -268,9 +273,9 @@ func TestPayloadSplitAccounted(t *testing.T) {
 			if dense != 0 {
 				t.Fatalf("sparse run shipped %d dense payload bytes", dense)
 			}
-		case tidlist.ReprBitset:
+		case tidlist.ReprRoaring:
 			if sparse != 0 {
-				t.Fatalf("bitset run shipped %d sparse payload bytes", sparse)
+				t.Fatalf("roaring run shipped %d sparse payload bytes", sparse)
 			}
 		}
 	}

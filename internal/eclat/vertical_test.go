@@ -27,10 +27,8 @@ func verticalSets(d *db.Database, repr tidlist.Repr) []tidlist.Set {
 		if len(l) == 0 {
 			continue
 		}
-		if repr == tidlist.ReprBitset {
-			var bs tidlist.Bitset
-			bs.SetTIDs(l)
-			sets[it] = &bs
+		if repr == tidlist.ReprRoaring {
+			sets[it] = tidlist.NewRoaring(l)
 		} else {
 			sets[it] = l
 		}
@@ -60,9 +58,9 @@ func TestMineVerticalLocalMatchesHorizontal(t *testing.T) {
 		want, _ := MineSequential(d, minsup)
 		wantBytes := resultBytes(t, want)
 
-		for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprBitset} {
+		for _, inputRepr := range []tidlist.Repr{tidlist.ReprSparse, tidlist.ReprRoaring} {
 			in := VerticalInput{NumTransactions: d.Len(), Items: verticalSets(d, inputRepr)}
-			for _, mineRepr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset} {
+			for _, mineRepr := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring} {
 				for _, workers := range []int{1, 2, 4} {
 					res, st, err := MineVerticalLocal(context.Background(), in, minsup,
 						Options{Representation: mineRepr, Workers: workers})

@@ -32,7 +32,8 @@ type JobRequest struct {
 	Hosts int `json:"hosts"`
 	Procs int `json:"procs"`
 	// Representation is the tid-set representation for Eclat-family
-	// algorithms: "auto" (default), "sparse" or "bitset".
+	// algorithms: "auto" (default), "sparse" or "roaring" ("bitset",
+	// "dense" and "compressed" are aliases of roaring).
 	Representation string `json:"representation"`
 	// Parallelism requests local worker goroutines for the real Eclat
 	// path; 0 means the service's per-job share of its parallel budget
@@ -72,7 +73,6 @@ type DatasetRequest struct {
 // tid-set encoding (the auto figure picks the cheaper encoding per item).
 type VerticalSizes struct {
 	SparseBytes  int64 `json:"sparseBytes"`
-	DenseBytes   int64 `json:"denseBytes"`
 	RoaringBytes int64 `json:"roaringBytes"`
 	AutoBytes    int64 `json:"autoBytes"`
 }
@@ -121,9 +121,27 @@ func errorCode(err error) (int, string) {
 		return http.StatusBadRequest, "invalid_memory_budget"
 	case errors.Is(err, repro.ErrCanceled):
 		return http.StatusConflict, "canceled"
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge, "request_too_large"
 	default:
 		return http.StatusBadRequest, "bad_request"
 	}
+}
+
+// maxRequestBytes caps the JSON body of POST /v1/jobs and POST
+// /v1/datasets. Both are a handful of fields (the longest is a job's
+// mustContain list), so 1 MiB is generous; a larger body is refused
+// with 413 request_too_large instead of being read into memory.
+const maxRequestBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBytes. The error is ready for writeMappedError: 413 when the
+// body is over the cap, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -171,8 +189,8 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var jr JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if err := decodeBody(w, r, &jr); err != nil {
+			writeMappedError(w, err)
 			return
 		}
 		algo, err := ParseAlgorithm(jr.Algorithm)
@@ -263,8 +281,8 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		var dr DatasetRequest
-		if err := json.NewDecoder(r.Body).Decode(&dr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if err := decodeBody(w, r, &dr); err != nil {
+			writeMappedError(w, err)
 			return
 		}
 		if dr.Name == "" {
@@ -325,7 +343,7 @@ func NewHandler(s *Service) http.Handler {
 			}
 			n = v
 		}
-		sparse, dense, roaring, auto := ds.VerticalSizes()
+		sparse, roaring, auto := ds.VerticalSizes()
 		writeJSON(w, http.StatusOK, struct {
 			DatasetInfo
 			TopItems []ItemSupport `json:"topItems"`
@@ -333,7 +351,7 @@ func NewHandler(s *Service) http.Handler {
 		}{
 			DatasetInfo: ds.Info(),
 			TopItems:    ds.TopItems(n),
-			Vertical:    VerticalSizes{SparseBytes: sparse, DenseBytes: dense, RoaringBytes: roaring, AutoBytes: auto},
+			Vertical:    VerticalSizes{SparseBytes: sparse, RoaringBytes: roaring, AutoBytes: auto},
 		})
 	})
 

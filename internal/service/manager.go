@@ -48,8 +48,17 @@ var ErrQueueFull = errors.New("service: job queue full")
 // ErrShuttingDown is returned by Submit after Shutdown has begun.
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// ErrUnknownJob is returned for job IDs the manager has never issued.
+// ErrUnknownJob is returned for job IDs the manager has never issued or
+// has already forgotten (see maxFinishedJobs).
 var ErrUnknownJob = errors.New("service: unknown job")
+
+// maxFinishedJobs bounds the terminal jobs the manager remembers. Each
+// finished job holds its full result, so an unbounded table grows with
+// every job a long-lived daemon ever serves, cache hits included. Past
+// the bound the oldest finished jobs are forgotten first (a later GET
+// on one is ErrUnknownJob); queued and running jobs are never dropped,
+// so the table holds at most this many plus Workers + QueueDepth jobs.
+const maxFinishedJobs = 256
 
 // RunFunc executes one job and returns its result. It must honor ctx:
 // on cancellation it should return promptly with ctx.Err().
@@ -76,18 +85,20 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 }
 
 // Manager owns the job table, the bounded FIFO queue, and the worker
-// pool. Every job ever submitted stays in the table until the manager is
-// discarded, so status and results remain queryable after completion.
+// pool. Status and results stay queryable after completion for the
+// newest maxFinishedJobs finished jobs.
 type Manager struct {
 	cfg ManagerConfig
 	run RunFunc
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for List
-	queue  chan *Job
-	closed bool
-	nextID uint64
+	mu       sync.Mutex
+	jobs     map[string]*Job // every queryable job, by ID
+	order    []string        // submission order, for List; may hold forgotten IDs
+	active   map[string]*Job // the queued and running subset of jobs
+	finished []string        // IDs of the terminal subset of jobs, oldest first
+	queue    chan *Job
+	closed   bool
+	nextID   uint64
 
 	wg sync.WaitGroup
 
@@ -103,10 +114,11 @@ type Manager struct {
 func NewManager(cfg ManagerConfig, run RunFunc) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:   cfg,
-		run:   run,
-		jobs:  make(map[string]*Job),
-		queue: make(chan *Job, cfg.QueueDepth),
+		cfg:    cfg,
+		run:    run,
+		jobs:   make(map[string]*Job),
+		active: make(map[string]*Job),
+		queue:  make(chan *Job, cfg.QueueDepth),
 	}
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -141,6 +153,7 @@ func (m *Manager) Submit(req Request, key Key) (*Job, error) {
 	select {
 	case m.queue <- j:
 		m.jobs[j.ID] = j
+		m.active[j.ID] = j
 		m.order = append(m.order, j.ID)
 		m.mu.Unlock()
 	default:
@@ -177,6 +190,7 @@ func (m *Manager) Insert(req Request, key Key, res *mining.Result, cached bool) 
 	j.ID = fmt.Sprintf("job-%d", m.nextID)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
+	m.finishLocked(j.ID)
 	m.mu.Unlock()
 	m.submitted.Add(1)
 	m.completed.Add(1)
@@ -184,6 +198,57 @@ func (m *Manager) Insert(req Request, key Key, res *mining.Result, cached bool) 
 	jobsCompleted.Inc()
 	cacheServed.Inc()
 	return j
+}
+
+// retire moves a job that has just reached a terminal status from the
+// active set to the finished FIFO.
+func (m *Manager) retire(j *Job) {
+	m.mu.Lock()
+	delete(m.active, j.ID)
+	m.finishLocked(j.ID)
+	m.mu.Unlock()
+}
+
+// finishLocked appends id to the finished FIFO and forgets the oldest
+// finished jobs beyond maxFinishedJobs. Forgotten IDs linger in order
+// until it is more than twice the table, then order is compacted — an
+// amortized O(1) cost per job. Callers hold m.mu.
+func (m *Manager) finishLocked(id string) {
+	m.finished = append(m.finished, id)
+	for len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
+	}
+	if len(m.order) > 2*len(m.jobs) {
+		kept := m.order[:0]
+		for _, id := range m.order {
+			if _, ok := m.jobs[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		clear(m.order[len(kept):])
+		m.order = kept
+	}
+}
+
+// activeFor returns a snapshot of a queued or running job on dataset,
+// or ok=false when there is none. It looks only at the active set, which
+// Workers + QueueDepth bound, never at finished jobs.
+func (m *Manager) activeFor(dataset string) (View, bool) {
+	m.mu.Lock()
+	jobs := make([]*Job, 0, len(m.active))
+	for _, j := range m.active {
+		if j.Req.Dataset == dataset {
+			jobs = append(jobs, j)
+		}
+	}
+	m.mu.Unlock()
+	for _, j := range jobs {
+		if v := j.Snapshot(); !v.Status.Terminal() {
+			return v, true
+		}
+	}
+	return View{}, false
 }
 
 // Get returns the job with the given ID.
@@ -197,13 +262,14 @@ func (m *Manager) Get(id string) (*Job, error) {
 	return j, nil
 }
 
-// List returns snapshots of all jobs in submission order.
+// List returns snapshots of all queryable jobs in submission order.
 func (m *Manager) List() []View {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, id := range m.order {
+		if j, ok := m.jobs[id]; ok {
+			jobs = append(jobs, j)
+		}
 	}
 	m.mu.Unlock()
 	out := make([]View, 0, len(jobs))
@@ -231,6 +297,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		close(j.done)
 		j.mu.Unlock()
 		j.cancel()
+		m.retire(j)
 		m.canceled.Add(1)
 		jobsCanceled.Inc()
 	case StatusRunning:
@@ -281,8 +348,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		m.mu.Lock()
-		jobs := make([]*Job, 0, len(m.jobs))
-		for _, j := range m.jobs {
+		jobs := make([]*Job, 0, len(m.active))
+		for _, j := range m.active {
 			jobs = append(jobs, j)
 		}
 		m.mu.Unlock()
@@ -302,6 +369,7 @@ func (m *Manager) cancelIfPending(j *Job) {
 		close(j.done)
 		j.mu.Unlock()
 		j.cancel()
+		m.retire(j)
 		m.canceled.Add(1)
 		jobsCanceled.Inc()
 		return
@@ -341,6 +409,7 @@ func (m *Manager) runJob(j *Job) {
 	j.cancel() // release the context's resources
 
 	j.mu.Lock()
+	defer m.retire(j) // runs after the unlock below: never under j.mu
 	defer func() {
 		close(j.done)
 		j.mu.Unlock()

@@ -260,10 +260,20 @@ func TestManagerConcurrentSubmitCancelGet(t *testing.T) {
 	}
 	wg.Wait()
 
+	// More jobs than maxFinishedJobs may have been accepted. The manager
+	// forgets only finished jobs, so an ID that is already unknown
+	// reached a terminal status before it was dropped.
 	deadline := time.Now().Add(10 * time.Second)
 	for _, id := range ids {
 		for {
-			s := mustSnap(t, m, id).Status
+			j, err := m.Get(id)
+			if errors.Is(err, ErrUnknownJob) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := j.Snapshot().Status
 			if s.Terminal() {
 				break
 			}
@@ -272,5 +282,10 @@ func TestManagerConcurrentSubmitCancelGet(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.jobs) > maxFinishedJobs+len(m.active) {
+		t.Fatalf("job table holds %d jobs, bound is %d finished + %d active", len(m.jobs), maxFinishedJobs, len(m.active))
 	}
 }

@@ -30,7 +30,7 @@ var ErrDatasetExists = errors.New("service: dataset already registered")
 // item-level queries never rescan the horizontal data and never
 // re-encode a transform they already have. For store-backed datasets the
 // sparse transform is served zero-copy from the mapped bundle (no
-// horizontal pass at all), the dense transform is served from the
+// horizontal pass at all), the roaring transform is served from the
 // mapping when a previous process spilled it, and the horizontal data is
 // loaded from disk only if an algorithm actually scans it.
 type Dataset struct {
@@ -59,19 +59,14 @@ type Dataset struct {
 	verticalOnce sync.Once
 	vertical     []tidlist.List // index = item; nil until first use
 
-	bitsetOnce sync.Once
-	bitsets    []*tidlist.Bitset // index = item; nil until first use
-
 	roaringOnce sync.Once
 	roarings    []*tidlist.Roaring // index = item; nil until first use
 
-	// The four VerticalSets slices, memoized per representation so jobs
+	// The three VerticalSets slices, memoized per representation so jobs
 	// never rebuild them (ReprAuto in particular re-ran EncodedSize over
 	// every item on each call before this cache existed).
 	sparseSetsOnce  sync.Once
 	sparseSets      []tidlist.Set
-	bitsetSetsOnce  sync.Once
-	bitsetSets      []tidlist.Set
 	roaringSetsOnce sync.Once
 	roaringSets     []tidlist.Set
 	autoSetsOnce    sync.Once
@@ -147,42 +142,6 @@ func (ds *Dataset) Vertical() []tidlist.List {
 	return ds.vertical
 }
 
-// VerticalBitsets returns the memoized dense encoding of the vertical
-// transform (one Bitset per item; empty items get an empty Bitset).
-// Store-backed datasets serve it from the mapping when a previous
-// process spilled it; otherwise the transform is computed once and then
-// spilled to the store so the next open of the dataset gets it for free.
-// Shared — must not be mutated.
-func (ds *Dataset) VerticalBitsets() []*tidlist.Bitset {
-	ds.bitsetOnce.Do(func() {
-		if ds.stored != nil {
-			if stored, ok := ds.stored.Bitsets(); ok {
-				sets := make([]*tidlist.Bitset, len(stored))
-				for it, b := range stored {
-					if b == nil {
-						b = tidlist.NewBitset(nil)
-					}
-					sets[it] = b
-				}
-				ds.bitsets = sets
-				return
-			}
-		}
-		vert := ds.Vertical()
-		sets := make([]*tidlist.Bitset, len(vert))
-		for it, l := range vert {
-			sets[it] = tidlist.NewBitset(l)
-		}
-		ds.bitsets = sets
-		if ds.stored != nil {
-			if err := ds.stored.AppendBitsets(sets); err != nil && ds.logf != nil {
-				ds.logf("service: spilling dense transform of %q failed: %v", ds.Name, err)
-			}
-		}
-	})
-	return ds.bitsets
-}
-
 // VerticalRoarings returns the memoized containerized encoding of the
 // vertical transform (one Roaring per item; empty items get an empty
 // Roaring). Store-backed datasets serve it from the mapping when a
@@ -229,16 +188,6 @@ func (ds *Dataset) VerticalRoarings() []*tidlist.Roaring {
 // local Eclat job mines scan-free from here.
 func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 	switch r {
-	case tidlist.ReprBitset:
-		ds.bitsetSetsOnce.Do(func() {
-			dense := ds.VerticalBitsets()
-			out := make([]tidlist.Set, len(dense))
-			for it, b := range dense {
-				out[it] = b
-			}
-			ds.bitsetSets = out
-		})
-		return ds.bitsetSets, true
 	case tidlist.ReprSparse:
 		ds.sparseSetsOnce.Do(func() {
 			vert := ds.Vertical()
@@ -263,21 +212,14 @@ func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 		ds.autoSetsOnce.Do(func() {
 			vert := ds.Vertical()
 			out := make([]tidlist.Set, len(vert))
-			var dense []*tidlist.Bitset
 			var roarings []*tidlist.Roaring
 			for it, l := range vert {
-				switch _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); enc {
-				case tidlist.ReprBitset:
-					if dense == nil {
-						dense = ds.VerticalBitsets()
-					}
-					out[it] = dense[it]
-				case tidlist.ReprRoaring:
+				if _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); enc == tidlist.ReprRoaring {
 					if roarings == nil {
 						roarings = ds.VerticalRoarings()
 					}
 					out[it] = roarings[it]
-				default:
+				} else {
 					out[it] = l
 				}
 			}
@@ -290,15 +232,14 @@ func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 // VerticalSizes reports the encoded size of the whole vertical transform
 // under each representation — the dataset-detail figures that let a
 // caller see which encoding its tid-lists favor.
-func (ds *Dataset) VerticalSizes() (sparse, dense, roaring, auto int64) {
+func (ds *Dataset) VerticalSizes() (sparse, roaring, auto int64) {
 	for _, l := range ds.Vertical() {
 		s, _ := tidlist.EncodedSize(l, tidlist.ReprSparse)
-		d, _ := tidlist.EncodedSize(l, tidlist.ReprBitset)
 		r, _ := tidlist.EncodedSize(l, tidlist.ReprRoaring)
 		a, _ := tidlist.EncodedSize(l, tidlist.ReprAuto)
-		sparse, dense, roaring, auto = sparse+s, dense+d, roaring+r, auto+a
+		sparse, roaring, auto = sparse+s, roaring+r, auto+a
 	}
-	return sparse, dense, roaring, auto
+	return sparse, roaring, auto
 }
 
 // ItemSupport is one item with its support count.

@@ -15,7 +15,7 @@ import (
 func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 8}, 400)
 	var first []byte
-	for _, r := range []repro.Representation{repro.ReprSparse, repro.ReprBitset, repro.ReprAuto} {
+	for _, r := range []repro.Representation{repro.ReprSparse, repro.ReprRoaring, repro.ReprAuto} {
 		j, err := s.Submit(Request{Dataset: "t10", SupportPct: 2.0, Representation: r})
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 		t.Fatalf("cache entries = %d, want 3 (one per representation)", got)
 	}
 	// Resubmitting under the same representation hits its entry.
-	j, err := s.Submit(Request{Dataset: "t10", SupportPct: 2.0, Representation: repro.ReprBitset})
+	j, err := s.Submit(Request{Dataset: "t10", SupportPct: 2.0, Representation: repro.ReprRoaring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestServiceRepresentationsDistinctEntriesSameResult(t *testing.T) {
 	}
 }
 
-// TestDatasetVerticalSetsMemoizedPerRepresentation checks the dense
+// TestDatasetVerticalSetsMemoizedPerRepresentation checks the roaring
 // transform is computed once, shared across VerticalSets calls, and that
 // every representation of the transform carries the same tid-sets.
 func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
@@ -66,12 +66,11 @@ func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, b2 := ds.VerticalBitsets(), ds.VerticalBitsets()
-	if &b1[0] != &b2[0] {
-		t.Fatal("VerticalBitsets recomputed instead of memoized")
+	r1, r2 := ds.VerticalRoarings(), ds.VerticalRoarings()
+	if &r1[0] != &r2[0] {
+		t.Fatal("VerticalRoarings recomputed instead of memoized")
 	}
 	sparse, _ := ds.VerticalSets(tidlist.ReprSparse)
-	dense, _ := ds.VerticalSets(tidlist.ReprBitset)
 	roaring, ok := ds.VerticalSets(tidlist.ReprRoaring)
 	if !ok {
 		t.Fatal("VerticalSets must always serve the repro.Source vertical view")
@@ -80,7 +79,7 @@ func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 	vert := ds.Vertical()
 	for it := range vert {
 		want := vert[it]
-		for _, sets := range [][]tidlist.Set{sparse, dense, roaring, auto} {
+		for _, sets := range [][]tidlist.Set{sparse, roaring, auto} {
 			got := tidlist.TIDsOf(sets[it])
 			if len(got) != len(want) {
 				t.Fatalf("item %d: %d tids, want %d", it, len(got), len(want))
@@ -94,18 +93,15 @@ func TestDatasetVerticalSetsMemoizedPerRepresentation(t *testing.T) {
 		if sparse[it].Repr() != tidlist.ReprSparse {
 			t.Fatalf("item %d: sparse transform has repr %v", it, sparse[it].Repr())
 		}
-		if vert[it].Support() > 0 && dense[it].Repr() != tidlist.ReprBitset {
-			t.Fatalf("item %d: dense transform has repr %v", it, dense[it].Repr())
-		}
 		if vert[it].Support() > 0 && roaring[it].Repr() != tidlist.ReprRoaring {
 			t.Fatalf("item %d: roaring transform has repr %v", it, roaring[it].Repr())
 		}
 	}
 	// The auto transform never ships an item in a more expensive
 	// encoding, so its total size is the VerticalSizes auto figure.
-	sp, de, ro, au := ds.VerticalSizes()
-	if au > sp || au > de || au > ro {
-		t.Fatalf("auto size %d exceeds sparse %d, dense %d, or roaring %d", au, sp, de, ro)
+	sp, ro, au := ds.VerticalSizes()
+	if au > sp || au > ro {
+		t.Fatalf("auto size %d exceeds sparse %d or roaring %d", au, sp, ro)
 	}
 	var autoSum int64
 	for _, s := range auto {

@@ -354,10 +354,8 @@ func (s *Service) RemoveDataset(name string) error {
 	if _, err := s.reg.Get(name); err != nil {
 		return err
 	}
-	for _, v := range s.mgr.List() {
-		if v.Dataset == name && !v.Status.Terminal() {
-			return fmt.Errorf("%w: %q has job %s %s", ErrDatasetBusy, name, v.ID, v.Status)
-		}
+	if v, busy := s.mgr.activeFor(name); busy {
+		return fmt.Errorf("%w: %q has job %s %s", ErrDatasetBusy, name, v.ID, v.Status)
 	}
 	if err := s.reg.Remove(name); err != nil {
 		return err

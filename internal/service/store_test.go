@@ -75,7 +75,7 @@ func TestServiceStoreBackedMiningMatchesInMemory(t *testing.T) {
 		t.Fatal("dataset registered through a store-backed service is not stored")
 	}
 
-	for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprBitset} {
+	for _, repr := range []repro.Representation{repro.ReprAuto, repro.ReprSparse, repro.ReprRoaring} {
 		for _, workers := range []int{1, 2, 4} {
 			// Distinct minsup per worker count keeps every run a cache miss
 			// (the cache key deliberately omits parallelism).
@@ -192,16 +192,16 @@ func TestServiceRemoveDataset(t *testing.T) {
 }
 
 // TestServiceStoreSpillsDenseTransform checks the spill path through the
-// registry: asking a store-backed dataset for its dense representation
-// persists the bitsets, so a reopened dataset serves them from the
-// mapping without re-encoding.
+// registry: asking a store-backed dataset for its dense (roaring)
+// representation persists the roarings, so a reopened dataset serves
+// them from the mapping without re-encoding.
 func TestServiceStoreSpillsDenseTransform(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newStoreService(t, dir, Config{Workers: 1, QueueDepth: 4})
 	if _, err := s1.RegisterDataset("t10", "generated", genDataset(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repro.ReprBitset}
+	req := Request{Dataset: "t10", Algorithm: repro.AlgoEclat, SupportCount: 3, Representation: repro.ReprRoaring}
 	want, _ := mineBytes(t, s1, req)
 	s1.Shutdown(context.Background())
 
@@ -210,23 +210,23 @@ func TestServiceStoreSpillsDenseTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first process's bitset request spilled the dense transform; the
-	// reopened dataset must see it in its bundle without computing.
-	if !storedBitsetsPresent(ds) {
+	// The first process's roaring request spilled the dense transform;
+	// the reopened dataset must see it in its bundle without computing.
+	if !storedRoaringsPresent(ds) {
 		t.Fatal("dense transform was not spilled to the store")
 	}
 	got, _ := mineBytes(t, s2, req)
 	if !bytes.Equal(got, want) {
-		t.Fatal("bitset mine from spilled transform differs")
+		t.Fatal("roaring mine from spilled transform differs")
 	}
 }
 
-// storedBitsetsPresent peeks at whether the underlying stored dataset
-// holds a dense encoding for every non-empty item (test-only accessor).
-func storedBitsetsPresent(ds *Dataset) bool {
+// storedRoaringsPresent peeks at whether the underlying stored dataset
+// holds a roaring encoding for every non-empty item (test-only accessor).
+func storedRoaringsPresent(ds *Dataset) bool {
 	if ds.stored == nil {
 		return false
 	}
-	_, ok := ds.stored.Bitsets()
+	_, ok := ds.stored.Roarings()
 	return ok
 }

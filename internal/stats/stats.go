@@ -38,7 +38,7 @@ type Breakdown struct {
 	// adaptive representation each list travels in whichever encoding is
 	// smaller, and this split shows how the volume divided.
 	NetBytesSparse int64 // tid-list payloads shipped sparse (4 B/tid)
-	NetBytesDense  int64 // tid-list payloads shipped as bitsets (8 B/word + header)
+	NetBytesDense  int64 // tid-list payloads shipped packed (roaring containers)
 
 	// Phases maps a phase name to virtual nanoseconds spent in it.
 	Phases map[string]int64

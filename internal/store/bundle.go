@@ -24,7 +24,7 @@ import (
 //	record   ...
 //
 // Records are padded to 8-byte boundaries so every payload starts
-// 8-aligned, which keeps bitset words 8-aligned and sparse tids
+// 8-aligned, which keeps roaring bitmap words 8-aligned and sparse tids
 // 4-aligned inside the mapping — the precondition for the zero-copy
 // decoders in internal/tidlist. The crc is crc32.IEEE over the first 16
 // header bytes and the unpadded payload, so a torn or bit-flipped record
@@ -51,8 +51,10 @@ const (
 const (
 	// EncSparse is the canonical encoding: sorted tids, 4 bytes each.
 	EncSparse = 1
-	// EncBitset is the spilled dense encoding: base+count header then
-	// 64-bit words (see tidlist.AppendBitsetBytes).
+	// EncBitset is the retired flat-bitset spill (base+count header then
+	// 64-bit words). No new record is written with it; a bundle that
+	// still holds such records is checksummed on open and the records
+	// are ignored, since each item's sparse record holds the same tids.
 	EncBitset = 2
 	// EncRoaring is the spilled containerized encoding: count/container
 	// header, per-container descriptors, then 8-byte-padded container
@@ -72,7 +74,7 @@ var ErrCorruptBundle = errors.New("store: corrupt bundle")
 type Record struct {
 	// Item is the item whose tid-list this record holds.
 	Item int `json:"item"`
-	// Enc is EncSparse, EncBitset or EncRoaring.
+	// Enc is EncSparse or EncRoaring (EncBitset in legacy bundles).
 	Enc int `json:"enc"`
 	// Support is the tid count, duplicated from the payload so support
 	// queries never touch the bundle.

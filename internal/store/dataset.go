@@ -78,7 +78,7 @@ type index struct {
 }
 
 // Dataset is one stored dataset opened for reading. The sparse tid-lists
-// (and any spilled bitsets) are views over the mapped bundle: immutable,
+// (and any spilled roarings) are views over the mapped bundle: immutable,
 // safe for concurrent use, and valid until Close. Per the tidlist
 // aliasing contract they may be kernel operands but never scratch.
 type Dataset struct {
@@ -89,7 +89,6 @@ type Dataset struct {
 	cleanup func() error
 
 	sparse   []tidlist.List     // index = item; nil where no record
-	bitsets  []*tidlist.Bitset  // index = item; nil where not spilled
 	roarings []*tidlist.Roaring // index = item; nil where not spilled
 
 	horizOnce sync.Once
@@ -261,7 +260,6 @@ func (ds *Dataset) decode() error {
 		return err
 	}
 	ds.sparse = make([]tidlist.List, ds.idx.Meta.NumItems)
-	ds.bitsets = make([]*tidlist.Bitset, ds.idx.Meta.NumItems)
 	ds.roarings = make([]*tidlist.Roaring, ds.idx.Meta.NumItems)
 	for _, rec := range ds.idx.Records {
 		if rec.Item < 0 || rec.Item >= ds.idx.Meta.NumItems {
@@ -283,15 +281,8 @@ func (ds *Dataset) decode() error {
 			}
 			ds.sparse[rec.Item] = l
 		case EncBitset:
-			b, err := tidlist.BitsetFromBytes(payload)
-			if err != nil {
-				return fmt.Errorf("%w: item %d: %v", ErrCorruptBundle, rec.Item, err)
-			}
-			if b.Support() != rec.Support {
-				return fmt.Errorf("%w: item %d bitset has support %d, index says %d",
-					ErrCorruptBundle, rec.Item, b.Support(), rec.Support)
-			}
-			ds.bitsets[rec.Item] = b
+			// A legacy flat-bitset spill: its checksum passed above, and
+			// the sparse record of the same item holds the data.
 		case EncRoaring:
 			r, err := tidlist.RoaringFromBytes(payload)
 			if err != nil {
@@ -329,18 +320,6 @@ func (ds *Dataset) VerticalSets(r tidlist.Repr) ([]tidlist.Set, bool) {
 // and the lists are immutable.
 func (ds *Dataset) SparseLists() []tidlist.List { return ds.sparse }
 
-// Bitsets returns the spilled dense transform as views over the mapping,
-// or ok=false when the stored bitsets do not cover every non-empty item
-// (no spill has happened, or it predates new data).
-func (ds *Dataset) Bitsets() ([]*tidlist.Bitset, bool) {
-	for item, l := range ds.sparse {
-		if len(l) > 0 && ds.bitsets[item] == nil {
-			return nil, false
-		}
-	}
-	return ds.bitsets, true
-}
-
 // Roarings returns the spilled containerized transform as views over the
 // mapping, or ok=false when the stored roarings do not cover every
 // non-empty item.
@@ -355,18 +334,12 @@ func (ds *Dataset) Roarings() ([]*tidlist.Roaring, bool) {
 
 // Sets returns the vertical transform as []tidlist.Set under the given
 // representation, served from the mapping wherever possible: sparse
-// straight from the bundle, bitset from a previous spill (or encoded in
+// straight from the bundle, roaring from a previous spill (or encoded in
 // memory when none exists — this read-only accessor never writes), auto
 // picking the smaller encoding per item. The slices alias the mapping
 // and are immutable.
 func (ds *Dataset) Sets(r tidlist.Repr) []tidlist.Set {
 	out := make([]tidlist.Set, ds.idx.Meta.NumItems)
-	dense := func(item int) *tidlist.Bitset {
-		if b := ds.bitsets[item]; b != nil {
-			return b
-		}
-		return tidlist.NewBitset(ds.sparse[item])
-	}
 	roaring := func(item int) *tidlist.Roaring {
 		if rr := ds.roarings[item]; rr != nil {
 			return rr
@@ -377,22 +350,14 @@ func (ds *Dataset) Sets(r tidlist.Repr) []tidlist.Set {
 		if len(l) == 0 {
 			continue
 		}
-		switch r {
-		case tidlist.ReprBitset:
-			out[item] = dense(item)
-		case tidlist.ReprRoaring:
+		enc := r
+		if r == tidlist.ReprAuto { // the cheaper of the two encodings per item
+			_, enc = tidlist.EncodedSize(l, tidlist.ReprAuto)
+		}
+		if enc == tidlist.ReprRoaring {
 			out[item] = roaring(item)
-		case tidlist.ReprSparse:
+		} else {
 			out[item] = l
-		default: // ReprAuto: cheapest of the three encodings per item
-			switch _, enc := tidlist.EncodedSize(l, tidlist.ReprAuto); enc {
-			case tidlist.ReprBitset:
-				out[item] = dense(item)
-			case tidlist.ReprRoaring:
-				out[item] = roaring(item)
-			default:
-				out[item] = l
-			}
 		}
 	}
 	return out
@@ -415,45 +380,17 @@ func (ds *Dataset) Horizontal() (*db.Database, error) {
 	return ds.horiz, ds.horizErr
 }
 
-// AppendBitsets spills the dense transform to disk: bitset records for
-// every non-empty item not already covered are appended past the
-// committed extent, the bundle is fsynced, and only then is the index
-// atomically replaced to commit them. The in-process views are
+// AppendRoarings spills the containerized transform to disk: roaring
+// records for every non-empty item not already covered are appended
+// past the committed extent, the bundle is fsynced, and only then is the
+// index atomically replaced to commit them. The in-process views are
 // unchanged — the spill pays off on the next open, which serves the
-// bitsets from the mapping instead of re-encoding. bs is indexed by item
-// (as returned by Dataset.VerticalBitsets); nil and empty entries are
-// skipped.
-func (ds *Dataset) AppendBitsets(bs []*tidlist.Bitset) error {
-	return ds.appendSpill(EncBitset, len(bs), func(item int) (int, func([]byte) []byte) {
-		b := bs[item]
-		if b == nil || b.Support() == 0 {
-			return 0, nil
-		}
-		return b.Support(), func(p []byte) []byte { return tidlist.AppendBitsetBytes(p, b) }
-	})
-}
-
-// AppendRoarings spills the containerized transform to disk with the
-// same crash-safe append protocol as AppendBitsets. rs is indexed by
+// roarings from the mapping instead of re-encoding. rs is indexed by
 // item; nil and empty entries are skipped.
 func (ds *Dataset) AppendRoarings(rs []*tidlist.Roaring) error {
-	return ds.appendSpill(EncRoaring, len(rs), func(item int) (int, func([]byte) []byte) {
-		r := rs[item]
-		if r == nil || r.Support() == 0 {
-			return 0, nil
-		}
-		return r.Support(), func(p []byte) []byte { return tidlist.AppendRoaringBytes(p, r) }
-	})
-}
-
-// appendSpill implements the shared spill-append protocol: records for
-// every item in [0, n) with a payload (per the get callback) and no
-// existing record under enc are appended past the committed extent, the
-// bundle is fsynced, and only then is the index atomically replaced.
-func (ds *Dataset) appendSpill(enc, n int, get func(item int) (support int, encode func([]byte) []byte)) error {
 	covered := make(map[int]bool)
 	for _, rec := range ds.idx.Records {
-		if rec.Enc == enc {
+		if rec.Enc == EncRoaring {
 			covered[rec.Item] = true
 		}
 	}
@@ -462,17 +399,13 @@ func (ds *Dataset) appendSpill(enc, n int, get func(item int) (support int, enco
 	idx.Records = append([]Record(nil), ds.idx.Records...)
 	off := ds.idx.BundleBytes
 	var payload []byte
-	for item := 0; item < n; item++ {
-		if item >= ds.idx.Meta.NumItems || covered[item] {
+	for item, r := range rs {
+		if item >= ds.idx.Meta.NumItems || covered[item] || r == nil || r.Support() == 0 {
 			continue
 		}
-		support, encode := get(item)
-		if encode == nil {
-			continue
-		}
-		payload = encode(payload[:0])
+		payload = tidlist.AppendRoaringBytes(payload[:0], r)
 		var rec Record
-		buf, rec = appendRecordSeg(buf, off+int64(len(buf)), ds.idx.SegmentBytes, item, enc, support, payload)
+		buf, rec = appendRecordSeg(buf, off+int64(len(buf)), ds.idx.SegmentBytes, item, EncRoaring, r.Support(), payload)
 		idx.Records = append(idx.Records, rec)
 	}
 	if len(buf) == 0 {
@@ -541,7 +474,7 @@ func (ds *Dataset) Close() error {
 			ds.releaseMapped()
 			ds.closeErr = ds.cleanup()
 		}
-		ds.data, ds.sparse, ds.bitsets, ds.roarings = nil, nil, nil, nil
+		ds.data, ds.sparse, ds.roarings = nil, nil, nil
 	})
 	return ds.closeErr
 }

@@ -64,32 +64,31 @@ func FuzzBundleRoundTrip(f *testing.F) {
 			t.Fatal("sparse re-encode differs")
 		}
 
-		// Dense record round trip, appended after the sparse record the
-		// way a spill would.
+		// Roaring record round trip, appended after the sparse record
+		// the way a spill would.
 		if len(l) > 0 {
-			var bs tidlist.Bitset
-			bs.SetTIDs(l)
-			dp := tidlist.AppendBitsetBytes(nil, &bs)
-			bundle, brec := appendRecord(bundle, int64(len(bundle)), item, EncBitset, bs.Support(), dp)
-			payload, err := recordPayload(bundle, brec)
+			r := tidlist.NewRoaring(l)
+			rp := tidlist.AppendRoaringBytes(nil, r)
+			bundle, rrec := appendRecord(bundle, int64(len(bundle)), item, EncRoaring, r.Support(), rp)
+			payload, err := recordPayload(bundle, rrec)
 			if err != nil {
-				t.Fatalf("dense record rejected its own bytes: %v", err)
+				t.Fatalf("roaring record rejected its own bytes: %v", err)
 			}
-			gotBS, err := tidlist.BitsetFromBytes(payload)
+			gotR, err := tidlist.RoaringFromBytes(payload)
 			if err != nil {
-				t.Fatalf("dense decode: %v", err)
+				t.Fatalf("roaring decode: %v", err)
 			}
-			if gotBS.Support() != len(l) {
-				t.Fatalf("dense round trip support %d, want %d", gotBS.Support(), len(l))
+			if gotR.Support() != len(l) {
+				t.Fatalf("roaring round trip support %d, want %d", gotR.Support(), len(l))
 			}
-			gt := tidlist.TIDsOf(gotBS)
+			gt := tidlist.TIDsOf(gotR)
 			for i := range l {
 				if gt[i] != l[i] {
-					t.Fatalf("dense round trip: got %v, want %v", gt, l)
+					t.Fatalf("roaring round trip: got %v, want %v", gt, l)
 				}
 			}
-			if !bytes.Equal(tidlist.AppendBitsetBytes(nil, gotBS), dp) {
-				t.Fatal("dense re-encode differs")
+			if !bytes.Equal(tidlist.AppendRoaringBytes(nil, gotR), rp) {
+				t.Fatal("roaring re-encode differs")
 			}
 			// The first record is still intact behind the appended one.
 			if _, err := recordPayload(bundle, rec); err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,8 +58,8 @@ func TestStoreRegisterOpenRoundTrip(t *testing.T) {
 	d, ds := registerOne(t, s, "rt", 200)
 	lists := VerticalLists(d)
 	assertListsEqual(t, ds.SparseLists(), lists)
-	if _, ok := ds.Bitsets(); ok {
-		t.Fatal("fresh dataset claims spilled bitsets")
+	if _, ok := ds.Roarings(); ok {
+		t.Fatal("fresh dataset claims spilled roarings")
 	}
 	if m := ds.Meta(); m.Transactions != d.Len() || m.NumItems != d.NumItems || m.Name != "rt" {
 		t.Fatalf("meta %+v does not match database", m)
@@ -94,7 +95,7 @@ func TestStoreRegisterOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreSpillBitsets(t *testing.T) {
+func TestStoreSpillRoarings(t *testing.T) {
 	root := t.TempDir()
 	s, err := Open(root, t.Logf)
 	if err != nil {
@@ -102,20 +103,18 @@ func TestStoreSpillBitsets(t *testing.T) {
 	}
 	d, ds := registerOne(t, s, "spill", 150)
 
-	bs := make([]*tidlist.Bitset, d.NumItems)
+	rs := make([]*tidlist.Roaring, d.NumItems)
 	for item, l := range VerticalLists(d) {
-		if len(l) == 0 {
-			continue
+		if len(l) > 0 {
+			rs[item] = tidlist.NewRoaring(l)
 		}
-		bs[item] = new(tidlist.Bitset)
-		bs[item].SetTIDs(l)
 	}
-	if err := ds.AppendBitsets(bs); err != nil {
-		t.Fatalf("AppendBitsets: %v", err)
+	if err := ds.AppendRoarings(rs); err != nil {
+		t.Fatalf("AppendRoarings: %v", err)
 	}
 	// Idempotent: a second spill of the same transform appends nothing.
 	before := ds.idx.BundleBytes
-	if err := ds.AppendBitsets(bs); err != nil {
+	if err := ds.AppendRoarings(rs); err != nil {
 		t.Fatal(err)
 	}
 	if ds.idx.BundleBytes != before {
@@ -132,27 +131,115 @@ func TestStoreSpillBitsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, ok := ds2.Bitsets()
+	stored, ok := ds2.Roarings()
 	if !ok {
-		t.Fatal("reopened dataset is missing spilled bitsets")
+		t.Fatal("reopened dataset is missing spilled roarings")
 	}
-	for item, want := range bs {
+	for item, want := range rs {
 		if want == nil {
 			continue
 		}
 		got := stored[item]
-		if got == nil || got.Support() != want.Support() {
-			t.Fatalf("item %d: stored bitset %v, want support %d", item, got, want.Support())
-		}
-		wt, gt := tidlist.TIDsOf(want), tidlist.TIDsOf(got)
-		for i := range wt {
-			if wt[i] != gt[i] {
-				t.Fatalf("item %d: stored tids %v, want %v", item, gt, wt)
-			}
+		if got == nil || !slices.Equal(tidlist.TIDsOf(got), tidlist.TIDsOf(want)) {
+			t.Fatalf("item %d: stored roaring %v, want %v", item, got, tidlist.TIDsOf(want))
 		}
 	}
 	// Sparse lists are untouched by the spill.
 	assertListsEqual(t, ds2.SparseLists(), VerticalLists(d))
+}
+
+// TestStoreSpillBitsets opens testdata/legacy-bitset, a store written by
+// the release that still spilled flat bitsets: every non-empty item has
+// a sparse record and an EncBitset record. The bitset records must be
+// checksummed and ignored, the dataset must serve exactly the vertical
+// transform of its own horizontal data, and a later roaring spill must
+// append cleanly behind the legacy records.
+func TestStoreSpillBitsets(t *testing.T) {
+	root := copyLegacyStore(t)
+	s, err := Open(root, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := s.Get("legacy")
+	if err != nil {
+		t.Fatalf("legacy dataset not served: %v (names %v)", err, s.Names())
+	}
+	legacy := 0
+	for _, rec := range ds.idx.Records {
+		if rec.Enc == EncBitset {
+			legacy++
+		}
+	}
+	if legacy == 0 {
+		t.Fatal("fixture holds no EncBitset records")
+	}
+	h, err := ds.Horizontal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := VerticalLists(h)
+	assertListsEqual(t, ds.SparseLists(), want)
+	for _, r := range []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring} {
+		for item, set := range ds.Sets(r) {
+			if len(want[item]) == 0 {
+				continue
+			}
+			if !slices.Equal(tidlist.TIDsOf(set), want[item]) {
+				t.Fatalf("%v: item %d served %v, want %v", r, item, tidlist.TIDsOf(set), want[item])
+			}
+		}
+	}
+
+	rs := make([]*tidlist.Roaring, len(want))
+	for item, l := range want {
+		if len(l) > 0 {
+			rs[item] = tidlist.NewRoaring(l)
+		}
+	}
+	if err := ds.AppendRoarings(rs); err != nil {
+		t.Fatalf("AppendRoarings behind legacy records: %v", err)
+	}
+	s.Close()
+	s2, err := Open(root, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ds2, err := s2.Get("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ds2.Roarings(); !ok {
+		t.Fatal("roaring spill behind legacy records did not persist")
+	}
+	assertListsEqual(t, ds2.SparseLists(), want)
+}
+
+// copyLegacyStore copies the committed legacy store into a fresh root,
+// so opening it (which may truncate or append) never touches testdata.
+func copyLegacyStore(t *testing.T) string {
+	t.Helper()
+	root := t.TempDir()
+	const src = "testdata/legacy-bitset"
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		dst := filepath.Join(root, rel)
+		if d.IsDir() {
+			return os.MkdirAll(dst, 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(dst, b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 func TestStoreTornTailTruncatedOnOpen(t *testing.T) {

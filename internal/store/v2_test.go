@@ -147,16 +147,14 @@ func TestV2SegmentedSpillAppend(t *testing.T) {
 	const segBytes = 64
 	ds, lists := createSeg(t, 200, segBytes)
 
-	bs := make([]*tidlist.Bitset, len(lists))
+	rs := make([]*tidlist.Roaring, len(lists))
 	for item, l := range lists {
-		if len(l) == 0 {
-			continue
+		if len(l) > 0 {
+			rs[item] = tidlist.NewRoaring(l)
 		}
-		bs[item] = new(tidlist.Bitset)
-		bs[item].SetTIDs(l)
 	}
-	if err := ds.AppendBitsets(bs); err != nil {
-		t.Fatalf("AppendBitsets: %v", err)
+	if err := ds.AppendRoarings(rs); err != nil {
+		t.Fatalf("AppendRoarings: %v", err)
 	}
 	// The appended records obey the same segment discipline as the
 	// original ones, so the whole grown bundle still partitions cleanly.
@@ -167,16 +165,16 @@ func TestV2SegmentedSpillAppend(t *testing.T) {
 		t.Fatalf("reopen after segmented spill: %v", err)
 	}
 	defer ds2.Close()
-	stored, ok := ds2.Bitsets()
+	stored, ok := ds2.Roarings()
 	if !ok {
-		t.Fatal("reopened dataset is missing spilled bitsets")
+		t.Fatal("reopened dataset is missing spilled roarings")
 	}
-	for item, want := range bs {
+	for item, want := range rs {
 		if want == nil {
 			continue
 		}
 		if got := stored[item]; got == nil || got.Support() != want.Support() {
-			t.Fatalf("item %d: stored bitset support mismatch", item)
+			t.Fatalf("item %d: stored roaring support mismatch", item)
 		}
 	}
 	assertListsEqual(t, ds2.SparseLists(), lists)

@@ -66,14 +66,12 @@ func (s *chunkStack[T]) release(p chunkPos) { s.ci, s.off = p.chunk, p.off }
 // A nil *Arena is valid and falls back to plain heap clones, so callers
 // can thread one arena through shared code without branching.
 type Arena struct {
-	tids  chunkStack[itemset.TID]
-	words chunkStack[uint64]
-	sets  chunkStack[Bitset]
+	tids chunkStack[itemset.TID]
 }
 
 // ArenaMark is a point-in-time position of an Arena (see Mark/Release).
 type ArenaMark struct {
-	tids, words, sets chunkPos
+	tids chunkPos
 }
 
 // Mark records the current allocation point.
@@ -81,7 +79,7 @@ func (a *Arena) Mark() ArenaMark {
 	if a == nil {
 		return ArenaMark{}
 	}
-	return ArenaMark{tids: a.tids.mark(), words: a.words.mark(), sets: a.sets.mark()}
+	return ArenaMark{tids: a.tids.mark()}
 }
 
 // Release frees every allocation made since m was taken. The freed
@@ -92,31 +90,21 @@ func (a *Arena) Release(m ArenaMark) {
 		return
 	}
 	a.tids.release(m.tids)
-	a.words.release(m.words)
-	a.sets.release(m.sets)
 }
 
 // CloneSetInto copies s into arena-backed storage under the same
-// representation, like CloneSet but without per-clone heap allocations.
-// The clone is valid until the enclosing Mark is Released. A nil arena
-// degrades to CloneSet.
+// representation, like CloneSet but without per-clone heap allocations
+// for sparse lists (roaring sets are heap-cloned). The clone is valid
+// until the enclosing Mark is Released. A nil arena degrades to
+// CloneSet.
 func (a *Arena) CloneSetInto(s Set) Set {
 	if a == nil {
 		return CloneSet(s)
 	}
-	switch v := s.(type) {
-	case List:
+	if v, ok := s.(List); ok {
 		dst := a.tids.alloc(len(v))
 		copy(dst, v)
 		return List(dst)
-	case *Bitset:
-		b := &a.sets.alloc(1)[0]
-		b.base = v.base
-		b.count = v.count
-		b.words = a.words.alloc(len(v.words))
-		copy(b.words, v.words)
-		return b
-	default:
-		return CloneSet(s)
 	}
+	return CloneSet(s)
 }

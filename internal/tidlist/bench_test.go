@@ -28,13 +28,12 @@ func benchTidList(rng *rand.Rand, n, universe int) List {
 }
 
 // BenchmarkIntersectKernels compares the intersection kernels — sparse
-// merge, dense AND+popcount, containerized roaring, and the adaptive
-// policy's pick — across densities spanning both sides of
-// DenseThreshold (~3.1%). This is the perf baseline behind the
-// representation layer: the dense kernel should win clearly on dense
-// inputs (>= ~5%) and lose to the merge once the tids spread out, the
-// roaring containers should track the per-chunk winner everywhere, and
-// adaptive should track the global winner.
+// merge, containerized roaring, and the adaptive policy's pick — across
+// densities spanning both sides of DenseThreshold (~3.1%). This is the
+// perf baseline behind the representation layer: roaring's bitmap
+// containers should win clearly on dense inputs (>= ~5%) and lose to
+// the merge once the tids spread out, and adaptive should track the
+// winner.
 //
 // The diffset row measures the dEclat difference kernel (DiffSets) on
 // the same operands in their adaptively chosen encoding — the cost of
@@ -60,7 +59,6 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		rng := rand.New(rand.NewSource(7))
 		x := benchTidList(rng, n, d.universe)
 		y := benchTidList(rng, n, d.universe)
-		dx, dy := NewBitset(x), NewBitset(y)
 		rx, ry := NewRoaring(x), NewRoaring(y)
 		auto := ChooseRepr(ReprAuto, n, d.universe)
 		kernels := []struct {
@@ -69,7 +67,6 @@ func BenchmarkIntersectKernels(b *testing.B) {
 			diff bool
 		}{
 			{"sparse", x, y, false},
-			{"bitset", dx, dy, false},
 			{"roaring", rx, ry, false},
 			{"adaptive", asRepr(x, auto), asRepr(y, auto), false},
 			{"diffset", asRepr(x, auto), asRepr(y, auto), true},
@@ -112,13 +109,11 @@ func BenchmarkIntersectKernelsSC(b *testing.B) {
 		y := benchTidList(rng, n, d.universe)
 		full := Intersect(x, y)
 		minsup := len(full) + 1 // infeasible: every scan must abort
-		dx, dy := NewBitset(x), NewBitset(y)
 		kernels := []struct {
 			name string
 			a, b Set
 		}{
 			{"sparse", x, y},
-			{"bitset", dx, dy},
 			{"roaring", NewRoaring(x), NewRoaring(y)},
 		}
 		for _, k := range kernels {

@@ -51,8 +51,8 @@ func fuzzSeed(f *testing.F) {
 	f.Add([]byte{7, 1, 9, 1, 11, 1, 13, 1}, []byte{7, 1, 13, 1}, uint8(5), uint8(30))
 }
 
-// FuzzIntersectKernels proves the three dispatch targets (sparse merge,
-// dense AND+popcount, mixed probe) agree with the reference sparse
+// FuzzIntersectKernels proves the dispatch targets (sparse merge,
+// containerized roaring, mixed probe) agree with the reference sparse
 // intersection for every operand pairing.
 func FuzzIntersectKernels(f *testing.F) {
 	fuzzSeed(f)
@@ -73,7 +73,8 @@ func FuzzIntersectKernels(f *testing.F) {
 	})
 }
 
-// FuzzDiffKernels proves the difference kernels (merge, AND NOT, probe)
+// FuzzDiffKernels proves the difference kernels (merge, container AND
+// NOT, probe)
 // agree with the reference sparse difference for every operand pairing.
 func FuzzDiffKernels(f *testing.F) {
 	fuzzSeed(f)
@@ -126,8 +127,8 @@ func FuzzShortCircuitKernels(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip proves sparse -> packed -> sparse conversion is lossless
-// for both packed encodings and that all representations agree on
+// FuzzRoundTrip proves sparse -> roaring -> sparse conversion is lossless
+// and that both representations agree on
 // Support, Bounds, HashTIDs, Contains, and the stable serialization.
 func FuzzRoundTrip(f *testing.F) {
 	fuzzSeed(f)
@@ -135,7 +136,7 @@ func FuzzRoundTrip(f *testing.F) {
 		l := fuzzList(ra, fuzzUniverse(sel))
 		slo, shi, sok := Bounds(l)
 		var ks KernelStats
-		for _, r := range []Repr{ReprBitset, ReprRoaring} {
+		for _, r := range []Repr{ReprRoaring} {
 			packed := Convert(l, r, &ks)
 			back := TIDsOf(Convert(packed, ReprSparse, &ks))
 			if !equalTIDs(back, l) {

@@ -20,11 +20,11 @@ func listEq(a, b List) bool {
 }
 
 // randKwaySets builds k random sorted lists over [0, span) and re-encodes
-// them round-robin across the three representations, so every fold mixes
+// them round-robin across the two representations, so every fold mixes
 // kernels.
 func randKwaySets(rng *rand.Rand, k, span int, density float64) []Set {
 	var ks KernelStats
-	reprs := []Repr{ReprSparse, ReprBitset, ReprRoaring}
+	reprs := []Repr{ReprSparse, ReprRoaring}
 	out := make([]Set, k)
 	for i := range out {
 		var tids List

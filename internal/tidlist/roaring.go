@@ -16,7 +16,7 @@ import (
 // the containerized layout the many-core and supercomputer FIM studies
 // identify as the scalable successor to flat bitsets.
 //
-// Like List and Bitset, a Roaring is value-mutated only by the kernels
+// Like List, a Roaring is value-mutated only by the kernels
 // in this package; everywhere else it is immutable. Aborted
 // short-circuit results are unusable partial prefixes, valid only as
 // scratch — the same §5.3 contract the other kernels enforce.
@@ -44,9 +44,11 @@ const (
 	ctRun    = uint8(2) // (start, length-1) uint16 pairs in elems, sorted, non-adjacent
 )
 
-// chunkBits / chunkSize describe the 64K-tid partition; chunkWords is
-// the word span of one full chunk.
+// chunkBits / chunkSize describe the 64K-tid partition; wordBits is the
+// number of tids packed into one bitmap word and chunkWords the word
+// span of one full chunk.
 const (
+	wordBits   = 64
 	chunkBits  = 16
 	chunkSize  = 1 << chunkBits
 	chunkWords = chunkSize / wordBits
@@ -982,85 +984,6 @@ func ctrAndNot(dst, a, b *container, ks *KernelStats) int {
 	}
 }
 
-// bitsetChunkView wraps the words of bs that fall inside chunk key as a
-// bitmap container view. The words alias bs — the view is an operand
-// only, never scratch. ok is false when the chunk does not overlap bs.
-// Word alignment works out because both the chunk boundary and the
-// bitset base are multiples of the word size.
-func bitsetChunkView(bs *Bitset, key uint16) (container, bool) {
-	chunkStart := chunkTID(key, 0)
-	chunkEndW := (int(chunkStart) + chunkSize) / wordBits
-	baseW := int(bs.base) / wordBits
-	lo := max(int(chunkStart)/wordBits, baseW)
-	hi := min(chunkEndW, baseW+len(bs.words))
-	if hi <= lo {
-		return container{}, false
-	}
-	return container{
-		kind:  ctBitmap,
-		card:  int32(bs.count), // upper bound; kernels read lengths, not operand cards
-		wlo:   int32(lo - int(chunkStart)/wordBits),
-		words: bs.words[lo-baseW : hi-baseW],
-	}, true
-}
-
-// intersectRoaringBitset intersects a roaring with a bitset chunk by
-// chunk, producing a roaring result.
-func intersectRoaringBitset(dst *Roaring, a *Roaring, b *Bitset, ks *KernelStats) (*Roaring, int) {
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	ops := 0
-	for i, key := range a.keys {
-		view, ok := bitsetChunkView(b, key)
-		if !ok {
-			continue
-		}
-		ops += dst.ctrAnd(dst.nextCtr(), &a.ctrs[i], &view, ks)
-		dst.commitCtr(key)
-	}
-	return dst, ops
-}
-
-// diffRoaringBitset computes roaring \ bitset chunk by chunk.
-func diffRoaringBitset(dst *Roaring, a *Roaring, b *Bitset, ks *KernelStats) (*Roaring, int) {
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	ops := 0
-	for i, key := range a.keys {
-		if view, ok := bitsetChunkView(b, key); ok {
-			ops += ctrAndNot(dst.nextCtr(), &a.ctrs[i], &view, ks)
-		} else {
-			ops += ctrCopy(dst.nextCtr(), &a.ctrs[i], ks)
-		}
-		dst.commitCtr(key)
-	}
-	return dst, ops
-}
-
-// intersectRoaringBitsetSC is intersectRoaringBitset with the §5.3
-// short circuit: the result can gain at most the remaining cardinality
-// of the roaring operand (the bitset's per-chunk remainder is unknown
-// without a popcount pass, so only a's remainder bounds the scan).
-func intersectRoaringBitsetSC(dst *Roaring, a *Roaring, b *Bitset, minsup int, ks *KernelStats) (result Set, ops int, ok bool) {
-	if min(a.count, b.count) < minsup {
-		return reuseRoaring(dst), 0, false
-	}
-	dst = reuseRoaring(dst)
-	dst.ctrs = dst.ctrs[:0]
-	remA := a.count
-	for i, key := range a.keys {
-		remA -= int(a.ctrs[i].card)
-		if view, vok := bitsetChunkView(b, key); vok {
-			ops += dst.ctrAnd(dst.nextCtr(), &a.ctrs[i], &view, ks)
-			dst.commitCtr(key)
-		}
-		if dst.count+remA < minsup {
-			return dst, ops, false
-		}
-	}
-	return dst, ops, dst.count >= minsup
-}
-
 // probeIntersectRoaring intersects a sparse list with a roaring by
 // probing each element into the container of its chunk, walking the
 // chunk keys in step with the sorted probes; the result is sparse.
@@ -1134,57 +1057,5 @@ func diffRoaringList(dst *Roaring, a *Roaring, b List, ks *KernelStats) (*Roarin
 		}
 		dst.commitCtr(key)
 	}
-	return dst, ops
-}
-
-// diffBitsetRoaring computes bitset \ roaring: a copy of the bitset
-// with every roaring member cleared.
-func diffBitsetRoaring(dst *Bitset, a *Bitset, b *Roaring, ks *KernelStats) (Set, int) {
-	ks.mixedIntersections++
-	n := len(a.words)
-	dst = reuseWords(dst, n)
-	dst.base = a.base
-	copy(dst.words, a.words)
-	count := a.count
-	clearTID := func(t itemset.TID) {
-		if t < dst.base {
-			return
-		}
-		off := t - dst.base
-		wi := int(off / wordBits)
-		if wi < len(dst.words) && dst.words[wi]&(1<<(uint(off)%wordBits)) != 0 {
-			dst.words[wi] &^= 1 << (uint(off) % wordBits)
-			count--
-		}
-	}
-	for i, key := range b.keys {
-		c := &b.ctrs[i]
-		switch c.kind {
-		case ctArray:
-			for _, v := range c.elems {
-				clearTID(chunkTID(key, v))
-			}
-		case ctBitmap:
-			for wi, w := range c.words {
-				base := chunkTID(key, 0) + itemset.TID((int(c.wlo)+wi)*wordBits)
-				for w != 0 {
-					clearTID(base + itemset.TID(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
-		case ctRun:
-			for ri := 0; ri < len(c.elems); ri += 2 {
-				start, rl := c.elems[ri], int(c.elems[ri+1])
-				for o := 0; o <= rl; o++ {
-					clearTID(chunkTID(key, start) + itemset.TID(o))
-				}
-			}
-		}
-	}
-	dst.count = count
-	dst.trim()
-	ops := n + b.count
-	ks.sparseOps += int64(b.count)
-	ks.wordsTouched += int64(n)
 	return dst, ops
 }

@@ -15,14 +15,13 @@ import (
 // they are the "stable serialization" contract the persistent vertical
 // dataset store pins with round-trip fuzzing.
 //
-// Sparse payload:  4 bytes per member — the TIDs as uint32, increasing.
-// Bitset payload:  8-byte header (base uint32, popcount uint32) followed
-//	                by the words as uint64; the word count is implied by
-//	                the payload length.
+// Sparse payload:   4 bytes per member — the TIDs as uint32, increasing.
+// Roaring payload:  see the layout comment above AppendRoaringBytes.
 //
 // On little-endian hosts both decoders return views that alias the input
-// buffer directly (a List over the tid bytes, a Bitset over the word
-// bytes) when the buffer is suitably aligned — the mmap fast path. The
+// buffer directly (a List over the tid bytes, containers over the array
+// and word bytes) when the buffer is suitably aligned — the mmap fast
+// path. The
 // views follow the package's immutability contract: like every Set
 // handed to the kernels as an operand they are never written through,
 // and they must never be passed in scratch position (kernels write
@@ -35,11 +34,6 @@ var nativeLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
-
-// bitsetPayloadHeader is the fixed prefix of the dense payload: base TID
-// and cached popcount, each uint32. Words follow at offset 8, so a
-// payload placed on an 8-byte boundary keeps its words 8-byte aligned.
-const bitsetPayloadHeader = 8
 
 // AppendListBytes appends the stable sparse encoding of l to dst.
 func AppendListBytes(dst []byte, l List) []byte {
@@ -69,69 +63,6 @@ func ListFromBytes(b []byte) (List, error) {
 		out[i] = itemset.TID(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out, nil
-}
-
-// AppendBitsetBytes appends the stable dense encoding of bs to dst.
-func AppendBitsetBytes(dst []byte, bs *Bitset) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bs.base))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bs.count))
-	for _, w := range bs.words {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	return dst
-}
-
-// BitsetFromBytes decodes a dense payload. On a little-endian host with
-// an 8-byte-aligned buffer the returned Bitset's words alias b without
-// copying; otherwise they are an independent copy. The aliasing view is
-// immutable by contract (see the package comment above).
-func BitsetFromBytes(b []byte) (*Bitset, error) {
-	if len(b) < bitsetPayloadHeader || (len(b)-bitsetPayloadHeader)%8 != 0 {
-		return nil, fmt.Errorf("tidlist: dense payload length %d is not 8+8k", len(b))
-	}
-	base := itemset.TID(binary.LittleEndian.Uint32(b))
-	if base%wordBits != 0 {
-		return nil, fmt.Errorf("tidlist: dense payload base %d is not word-aligned", base)
-	}
-	count := int(binary.LittleEndian.Uint32(b[4:]))
-	wb := b[bitsetPayloadHeader:]
-	n := len(wb) / 8
-	bs := &Bitset{base: base, count: count}
-	if n == 0 {
-		if count != 0 {
-			return nil, fmt.Errorf("tidlist: dense payload count %d with no words", count)
-		}
-		return bs, nil
-	}
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&wb[0]))%8 == 0 {
-		bs.words = unsafe.Slice((*uint64)(unsafe.Pointer(&wb[0])), n)
-	} else {
-		bs.words = make([]uint64, n)
-		for i := range bs.words {
-			bs.words[i] = binary.LittleEndian.Uint64(wb[8*i:])
-		}
-	}
-	if err := bs.validateEncoded(); err != nil {
-		return nil, err
-	}
-	return bs, nil
-}
-
-// validateEncoded checks the invariants the kernels rely on — trimmed
-// word span and a correct cached popcount — so a decoded view is safe to
-// hand to every kernel without a defensive copy.
-func (b *Bitset) validateEncoded() error {
-	if n := len(b.words); n > 0 && (b.words[0] == 0 || b.words[n-1] == 0) {
-		return fmt.Errorf("tidlist: dense payload has untrimmed zero boundary words")
-	}
-	pop := 0
-	for _, w := range b.words {
-		pop += bits.OnesCount64(w)
-	}
-	if pop != b.count {
-		return fmt.Errorf("tidlist: dense payload popcount %d does not match stored count %d", pop, b.count)
-	}
-	return nil
 }
 
 // Roaring payload layout (little-endian, offsets relative to the payload
@@ -356,14 +287,12 @@ func validateContainerElems(c *container, i int) error {
 }
 
 // EncodedLen returns the exact payload size AppendListBytes/
-// AppendBitsetBytes/AppendRoaringBytes would produce for s, the figure
-// the store sizes bundle records with.
+// AppendRoaringBytes would produce for s, the figure the store sizes
+// bundle records with.
 func EncodedLen(s Set) int {
 	switch v := s.(type) {
 	case List:
 		return 4 * len(v)
-	case *Bitset:
-		return bitsetPayloadHeader + 8*len(v.words)
 	case *Roaring:
 		return int(v.SizeBytes())
 	default:

@@ -3,7 +3,6 @@ package tidlist
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/itemset"
 	"repro/internal/obsv"
@@ -17,14 +16,11 @@ type Repr uint8
 
 // The representations.
 const (
-	// ReprAuto picks sparse or bitset per equivalence class by density
+	// ReprAuto picks sparse or roaring per equivalence class by density
 	// (see ChooseRepr).
 	ReprAuto Repr = iota
 	// ReprSparse is the paper's sorted []TID with the scalar merge loop.
 	ReprSparse
-	// ReprBitset is the word-packed dense bitset (64 TIDs per word,
-	// AND + popcount intersection).
-	ReprBitset
 	// ReprRoaring is the containerized compressed bitset: 64K-tid
 	// chunks holding array, bitmap or run containers, with kernels
 	// dispatched per container pair.
@@ -44,8 +40,6 @@ func (r Repr) String() string {
 		return "auto"
 	case ReprSparse:
 		return "sparse"
-	case ReprBitset:
-		return "bitset"
 	case ReprRoaring:
 		return "roaring"
 	default:
@@ -53,46 +47,38 @@ func (r Repr) String() string {
 	}
 }
 
-// ParseRepr parses a representation name; "" means ReprAuto. Unknown
-// names fail with an error wrapping ErrInvalidRepresentation.
+// ParseRepr parses a representation name; "" means ReprAuto. The names
+// "bitset" and "dense" (the retired flat word-packed encoding) and
+// "compressed" are aliases of roaring, whose bitmap containers are the
+// dense encoding now. Unknown names fail with an error wrapping
+// ErrInvalidRepresentation.
 func ParseRepr(s string) (Repr, error) {
 	switch s {
 	case "", "auto":
 		return ReprAuto, nil
 	case "sparse":
 		return ReprSparse, nil
-	case "bitset", "dense":
-		return ReprBitset, nil
-	case "roaring", "compressed":
+	case "roaring", "compressed", "bitset", "dense":
 		return ReprRoaring, nil
 	default:
-		return 0, fmt.Errorf("%w: %q (want auto, sparse, bitset or roaring)", ErrInvalidRepresentation, s)
+		return 0, fmt.Errorf("%w: %q (want auto, sparse or roaring)", ErrInvalidRepresentation, s)
 	}
 }
 
 // DenseThreshold is the density (support / tid-range) at and above which
-// ChooseRepr packs a class into bitsets. At 1/32 the dense encoding is
-// exactly as large as the sparse one (64 tids per 8-byte word vs 4 bytes
+// ChooseRepr packs a class into roaring. At 1/32 a word-packed bitmap is
+// exactly as large as the sparse list (64 tids per 8-byte word vs 4 bytes
 // per tid = break-even at 2 set bits per word); the intersection kernel
 // breaks even far earlier, so the byte break-even is the conservative
-// switch point.
+// switch point. Within each 64K-tid chunk roaring then makes the finer
+// bitmap-or-array choice itself.
 const DenseThreshold = 1.0 / 32
 
-// RoaringSpanChunks is the tid-span (in 64K chunks) above which the
-// adaptive policy prefers the containerized representation over a flat
-// bitset for dense classes: within a few chunks the two word kernels
-// are equivalent and the flat bitset is simpler, but across a wide span
-// the per-chunk trimming and key-merge chunk skipping pay for the
-// container dispatch (the committed BENCH_kernels.json rows calibrate
-// this).
-const RoaringSpanChunks = 4
-
 // ChooseRepr resolves a representation: an explicit request passes
-// through, and ReprAuto picks a packed representation when the density
-// support/tidRange reaches DenseThreshold — the flat bitset for spans
-// within RoaringSpanChunks chunks, the containerized roaring form
-// beyond it. support is the (average) cardinality of the tid-sets under
-// consideration and tidRange the span of TIDs they cover.
+// through, and ReprAuto picks roaring when the density support/tidRange
+// reaches DenseThreshold and the sparse list below it. support is the
+// (average) cardinality of the tid-sets under consideration and tidRange
+// the span of TIDs they cover.
 func ChooseRepr(r Repr, support, tidRange int) Repr {
 	if r != ReprAuto {
 		return r
@@ -101,10 +87,7 @@ func ChooseRepr(r Repr, support, tidRange int) Repr {
 		return ReprSparse
 	}
 	if float64(support) >= DenseThreshold*float64(tidRange) {
-		if tidRange > RoaringSpanChunks*chunkSize {
-			return ReprRoaring
-		}
-		return ReprBitset
+		return ReprRoaring
 	}
 	return ReprSparse
 }
@@ -129,7 +112,6 @@ type Set interface {
 // the List methods shared with the pre-abstraction API).
 var (
 	_ Set = List(nil)
-	_ Set = (*Bitset)(nil)
 	_ Set = (*Roaring)(nil)
 )
 
@@ -158,8 +140,6 @@ func CloneSet(s Set) Set {
 	switch v := s.(type) {
 	case List:
 		return v.Clone()
-	case *Bitset:
-		return v.Clone()
 	case *Roaring:
 		return v.Clone()
 	default:
@@ -175,14 +155,10 @@ func Convert(s Set, r Repr, ks *KernelStats) Set {
 		return s
 	}
 	ks.conversions++
-	switch r {
-	case ReprBitset:
-		return NewBitset(TIDsOf(s))
-	case ReprRoaring:
+	if r == ReprRoaring {
 		return NewRoaring(TIDsOf(s))
-	default:
-		return TIDsOf(s).Clone()
 	}
+	return TIDsOf(s).Clone()
 }
 
 // KernelStats accumulates kernel-dispatch counts for one mining run. The
@@ -191,11 +167,9 @@ func Convert(s Set, r Repr, ks *KernelStats) Set {
 // per-intersection path (same discipline as eclat's Stats).
 type KernelStats struct {
 	sparseIntersections  int64 // scalar merge-kernel dispatches
-	denseIntersections   int64 // word-kernel dispatches
-	mixedIntersections   int64 // sparse-probe-into-packed dispatches
+	mixedIntersections   int64 // sparse-probe-into-roaring dispatches
 	roaringIntersections int64 // containerized-kernel dispatches
 	sparseOps            int64 // element comparisons by the merge kernel
-	wordsTouched         int64 // 64-bit words visited by the dense kernel
 	roaringElemOps       int64 // uint16 element / run-pair comparisons in containers
 	roaringWords         int64 // 64-bit words touched by bitmap containers
 	conversions          int64 // representation re-encodings
@@ -206,18 +180,16 @@ type KernelStats struct {
 // OpIntersect cost.
 func (k *KernelStats) SparseOps() int64 { return k.sparseOps }
 
-// WordsTouched returns the words visited by dense kernel dispatches —
-// the unit the cluster model charges at OpBitsetWord cost.
-func (k *KernelStats) WordsTouched() int64 { return k.wordsTouched }
+// WordsTouched returns the 64-bit words touched inside roaring bitmap
+// containers, the one word kernel — the unit the cluster model charges
+// at its word-op cost.
+func (k *KernelStats) WordsTouched() int64 { return k.roaringWords }
 
 // Conversions returns the number of representation re-encodings.
 func (k *KernelStats) Conversions() int64 { return k.conversions }
 
-// DenseIntersections returns the number of word-kernel dispatches.
-func (k *KernelStats) DenseIntersections() int64 { return k.denseIntersections }
-
 // RoaringIntersections returns the number of containerized-kernel
-// dispatches (roaring-roaring and roaring-bitset operand pairs).
+// dispatches (roaring-roaring pairs, and roaring minus a sparse list).
 func (k *KernelStats) RoaringIntersections() int64 { return k.roaringIntersections }
 
 // RoaringElemOps returns the uint16 element and run-pair comparisons
@@ -225,18 +197,12 @@ func (k *KernelStats) RoaringIntersections() int64 { return k.roaringIntersectio
 // the cluster model's element-op cost.
 func (k *KernelStats) RoaringElemOps() int64 { return k.roaringElemOps }
 
-// RoaringWords returns the words touched inside bitmap containers —
-// charged per-container at the cluster model's word-op cost.
-func (k *KernelStats) RoaringWords() int64 { return k.roaringWords }
-
 // Add accumulates other into k.
 func (k *KernelStats) Add(other KernelStats) {
 	k.sparseIntersections += other.sparseIntersections
-	k.denseIntersections += other.denseIntersections
 	k.mixedIntersections += other.mixedIntersections
 	k.roaringIntersections += other.roaringIntersections
 	k.sparseOps += other.sparseOps
-	k.wordsTouched += other.wordsTouched
 	k.roaringElemOps += other.roaringElemOps
 	k.roaringWords += other.roaringWords
 	k.conversions += other.conversions
@@ -245,11 +211,9 @@ func (k *KernelStats) Add(other KernelStats) {
 // Kernel-dispatch metric names and metrics (see /metricsz).
 const (
 	mnSparseDispatch  = "tidlist_intersect_sparse_total"
-	mnDenseDispatch   = "tidlist_intersect_dense_total"
 	mnMixedDispatch   = "tidlist_intersect_mixed_total"
 	mnRoaringDispatch = "tidlist_intersect_roaring_total"
 	mnSparseOps       = "tidlist_sparse_ops_total"
-	mnDenseWords      = "tidlist_dense_words_total"
 	mnRoaringElemOps  = "tidlist_roaring_elem_ops_total"
 	mnRoaringWords    = "tidlist_roaring_words_total"
 	mnConversions     = "tidlist_conversions_total"
@@ -267,11 +231,9 @@ const (
 
 var (
 	mSparseDispatch  = obsv.Default.Counter(mnSparseDispatch, "tid-set intersections dispatched to the sparse merge kernel")
-	mDenseDispatch   = obsv.Default.Counter(mnDenseDispatch, "tid-set intersections dispatched to the dense word kernel")
 	mMixedDispatch   = obsv.Default.Counter(mnMixedDispatch, "tid-set intersections dispatched to the mixed sparse-probe kernel")
 	mRoaringDispatch = obsv.Default.Counter(mnRoaringDispatch, "tid-set intersections dispatched to the containerized roaring kernel")
 	mSparseOps       = obsv.Default.Counter(mnSparseOps, "element comparisons performed by the sparse merge kernel")
-	mDenseWords      = obsv.Default.Counter(mnDenseWords, "64-bit words touched by the dense kernel")
 	mRoaringElemOps  = obsv.Default.Counter(mnRoaringElemOps, "uint16 element and run-pair comparisons inside roaring containers")
 	mRoaringWords    = obsv.Default.Counter(mnRoaringWords, "64-bit words touched inside roaring bitmap containers")
 	mConversions     = obsv.Default.Counter(mnConversions, "tid-set representation re-encodings")
@@ -299,11 +261,9 @@ func publishContainerCounts(built [3]int64) {
 // registry and copies k into prev.
 func (k *KernelStats) Flush(prev *KernelStats) {
 	mSparseDispatch.Add(k.sparseIntersections - prev.sparseIntersections)
-	mDenseDispatch.Add(k.denseIntersections - prev.denseIntersections)
 	mMixedDispatch.Add(k.mixedIntersections - prev.mixedIntersections)
 	mRoaringDispatch.Add(k.roaringIntersections - prev.roaringIntersections)
 	mSparseOps.Add(k.sparseOps - prev.sparseOps)
-	mDenseWords.Add(k.wordsTouched - prev.wordsTouched)
 	mRoaringElemOps.Add(k.roaringElemOps - prev.roaringElemOps)
 	mRoaringWords.Add(k.roaringWords - prev.roaringWords)
 	mConversions.Add(k.conversions - prev.conversions)
@@ -314,7 +274,7 @@ func (k *KernelStats) Flush(prev *KernelStats) {
 // kernel, reusing scratch (a Set previously returned by a kernel in this
 // package, or nil) for the result's storage. It returns the result and
 // the kernel operations performed (element comparisons for the sparse
-// and mixed kernels, words touched for the dense kernel).
+// and mixed kernels, container work for the roaring kernel).
 func IntersectSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 	switch x := a.(type) {
 	case List:
@@ -325,31 +285,13 @@ func IntersectSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 			ops := len(x) + len(y)
 			ks.sparseOps += int64(ops)
 			return out, ops
-		case *Bitset:
-			return probeIntersect(scratch, x, y, ks)
 		case *Roaring:
 			return probeIntersectRoaring(scratch, x, y, ks)
-		}
-	case *Bitset:
-		switch y := b.(type) {
-		case List:
-			return probeIntersect(scratch, y, x, ks)
-		case *Bitset:
-			ks.denseIntersections++
-			out, words := intersectBitset(bitsetScratch(scratch), x, y)
-			ks.wordsTouched += int64(words)
-			return out, words
-		case *Roaring:
-			ks.roaringIntersections++
-			return intersectRoaringBitset(roaringScratch(scratch), y, x, ks)
 		}
 	case *Roaring:
 		switch y := b.(type) {
 		case List:
 			return probeIntersectRoaring(scratch, y, x, ks)
-		case *Bitset:
-			ks.roaringIntersections++
-			return intersectRoaringBitset(roaringScratch(scratch), x, y, ks)
 		case *Roaring:
 			ks.roaringIntersections++
 			return intersectRoaring(roaringScratch(scratch), x, y, ks)
@@ -373,31 +315,13 @@ func IntersectSetsSC(scratch Set, a, b Set, minsup int, ks *KernelStats) (result
 			out, ops, ok := IntersectShortCircuit(sparseScratch(scratch, min(len(x), len(y))), x, y, minsup)
 			ks.sparseOps += int64(ops)
 			return out, ops, ok
-		case *Bitset:
-			return probeIntersectSC(scratch, x, y, minsup, ks)
 		case *Roaring:
 			return probeIntersectRoaringSC(scratch, x, y, minsup, ks)
-		}
-	case *Bitset:
-		switch y := b.(type) {
-		case List:
-			return probeIntersectSC(scratch, y, x, minsup, ks)
-		case *Bitset:
-			ks.denseIntersections++
-			out, words, ok := intersectBitsetSC(bitsetScratch(scratch), x, y, minsup)
-			ks.wordsTouched += int64(words)
-			return out, words, ok
-		case *Roaring:
-			ks.roaringIntersections++
-			return intersectRoaringBitsetSC(roaringScratch(scratch), y, x, minsup, ks)
 		}
 	case *Roaring:
 		switch y := b.(type) {
 		case List:
 			return probeIntersectRoaringSC(scratch, y, x, minsup, ks)
-		case *Bitset:
-			ks.roaringIntersections++
-			return intersectRoaringBitsetSC(roaringScratch(scratch), x, y, minsup, ks)
 		case *Roaring:
 			ks.roaringIntersections++
 			return intersectRoaringSC(roaringScratch(scratch), x, y, minsup, ks)
@@ -408,7 +332,8 @@ func IntersectSetsSC(scratch Set, a, b Set, minsup int, ks *KernelStats) (result
 }
 
 // DiffSets computes a \ b through the representation-dispatched kernel
-// (AND NOT for dense operands), reusing scratch like IntersectSets.
+// (AND NOT inside roaring bitmap containers), reusing scratch like
+// IntersectSets.
 func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 	switch x := a.(type) {
 	case List:
@@ -419,18 +344,6 @@ func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 			ops := len(x) + len(y)
 			ks.sparseOps += int64(ops)
 			return out, ops
-		case *Bitset:
-			// Keep the elements of x that y does not contain: one O(1)
-			// probe per element.
-			ks.mixedIntersections++
-			dst := sparseScratch(scratch, len(x))
-			for _, t := range x {
-				if !y.Contains(t) {
-					dst = append(dst, t)
-				}
-			}
-			ks.sparseOps += int64(len(x))
-			return dst, len(x)
 		case *Roaring:
 			// Keep the elements of x outside y, walking y's chunks in
 			// step with the sorted probes.
@@ -449,43 +362,11 @@ func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 			ks.sparseOps += int64(len(x))
 			return dst, len(x)
 		}
-	case *Bitset:
-		switch y := b.(type) {
-		case *Bitset:
-			ks.denseIntersections++
-			out, words := diffBitset(bitsetScratch(scratch), x, y)
-			ks.wordsTouched += int64(words)
-			return out, words
-		case List:
-			// Clear each element of y out of a copy of x.
-			ks.mixedIntersections++
-			dst := bitsetScratch(scratch)
-			n := len(x.words)
-			dst = reuseWords(dst, n)
-			dst.base = x.base
-			copy(dst.words, x.words)
-			dst.count = x.count
-			for _, t := range y {
-				if dst.Contains(t) {
-					off := t - dst.base
-					dst.words[off/wordBits] &^= 1 << (uint(off) % wordBits)
-					dst.count--
-				}
-			}
-			dst.trim()
-			ks.sparseOps += int64(len(y))
-			return dst, len(y)
-		case *Roaring:
-			return diffBitsetRoaring(bitsetScratch(scratch), x, y, ks)
-		}
 	case *Roaring:
 		switch y := b.(type) {
 		case *Roaring:
 			ks.roaringIntersections++
 			return diffRoaring(roaringScratch(scratch), x, y, ks)
-		case *Bitset:
-			ks.roaringIntersections++
-			return diffRoaringBitset(roaringScratch(scratch), x, y, ks)
 		case List:
 			ks.roaringIntersections++
 			return diffRoaringList(roaringScratch(scratch), x, y, ks)
@@ -496,44 +377,6 @@ func DiffSets(scratch Set, a, b Set, ks *KernelStats) (Set, int) {
 	ops := len(a2) + len(b2)
 	ks.sparseOps += int64(ops)
 	return DiffInto(sparseScratch(scratch, len(a2)), a2, b2), ops
-}
-
-// probeIntersect intersects a sparse list with a bitset by probing each
-// element — O(len(sparse)) with O(1) membership tests; the result is
-// sparse (it is no larger than the sparse operand).
-func probeIntersect(scratch Set, sparse List, dense *Bitset, ks *KernelStats) (Set, int) {
-	ks.mixedIntersections++
-	dst := sparseScratch(scratch, len(sparse))
-	for _, t := range sparse {
-		if dense.Contains(t) {
-			dst = append(dst, t)
-		}
-	}
-	ks.sparseOps += int64(len(sparse))
-	return dst, len(sparse)
-}
-
-// probeIntersectSC is probeIntersect with the support bound: after m
-// misses the result is bounded by len(sparse) - m.
-func probeIntersectSC(scratch Set, sparse List, dense *Bitset, minsup int, ks *KernelStats) (Set, int, bool) {
-	ks.mixedIntersections++
-	dst := sparseScratch(scratch, len(sparse))
-	if min(len(sparse), dense.Support()) < minsup {
-		return dst, 0, false
-	}
-	ops := 0
-	for i, t := range sparse {
-		ops++
-		if dense.Contains(t) {
-			dst = append(dst, t)
-		}
-		if len(dst)+(len(sparse)-1-i) < minsup {
-			ks.sparseOps += int64(ops)
-			return dst, ops, false
-		}
-	}
-	ks.sparseOps += int64(ops)
-	return dst, ops, len(dst) >= minsup
 }
 
 // intersectGeneric handles Set implementations outside this package by
@@ -555,15 +398,6 @@ func sparseScratch(scratch Set, capHint int) List {
 	return make(List, 0, capHint)
 }
 
-// bitsetScratch recovers a *Bitset scratch from a previously returned Set
-// (or nil, letting the kernel allocate).
-func bitsetScratch(scratch Set) *Bitset {
-	if b, ok := scratch.(*Bitset); ok {
-		return b
-	}
-	return nil
-}
-
 // Bounds returns the smallest and largest TID of s; ok is false when the
 // set is empty. The adaptive policy uses it to measure a class's tid span
 // without materializing anything.
@@ -574,15 +408,6 @@ func Bounds(s Set) (lo, hi itemset.TID, ok bool) {
 			return 0, 0, false
 		}
 		return v[0], v[len(v)-1], true
-	case *Bitset:
-		if len(v.words) == 0 {
-			return 0, 0, false
-		}
-		// trim keeps the first and last words nonzero.
-		lo = v.base + itemset.TID(bits.TrailingZeros64(v.words[0]))
-		last := len(v.words) - 1
-		hi = v.base + itemset.TID(last*wordBits+63-bits.LeadingZeros64(v.words[last]))
-		return lo, hi, true
 	case *Roaring:
 		if len(v.keys) == 0 {
 			return 0, 0, false
@@ -601,23 +426,13 @@ func Bounds(s Set) (lo, hi itemset.TID, ok bool) {
 }
 
 // HashTIDs returns the order-independent tid-sum hash used by the closed
-// set accumulators, computed without materializing dense sets.
+// set accumulators, computed without materializing roaring sets.
 func HashTIDs(s Set) int64 {
 	switch v := s.(type) {
 	case List:
 		var h int64
 		for _, t := range v {
 			h += int64(t)
-		}
-		return h
-	case *Bitset:
-		var h int64
-		for wi, w := range v.words {
-			base := v.base + itemset.TID(wi*wordBits)
-			for w != 0 {
-				h += int64(base) + int64(bits.TrailingZeros64(w))
-				w &= w - 1
-			}
 		}
 		return h
 	case *Roaring:
@@ -636,35 +451,20 @@ func HashTIDs(s Set) int64 {
 }
 
 // EncodedSize returns the wire/disk size of a tid-list under r, and the
-// concrete representation chosen (ReprAuto picks the smaller encoding —
-// the transformation phase ships each list in whichever encoding is
-// cheaper, exactly like the true byte size the cluster model charges).
+// concrete representation chosen (ReprAuto picks the smaller of the
+// sparse and roaring encodings — the transformation phase ships each
+// list in whichever encoding is cheaper, exactly like the true byte size
+// the cluster model charges).
 func EncodedSize(l List, r Repr) (int64, Repr) {
 	sparse := l.SizeBytes()
 	switch r {
 	case ReprSparse:
 		return sparse, ReprSparse
-	case ReprBitset:
-		return denseSizeBytes(l), ReprBitset
 	case ReprRoaring:
 		return roaringEncodedSize(l), ReprRoaring
 	}
-	best, repr := sparse, ReprSparse
-	if dense := denseSizeBytes(l); dense < best {
-		best, repr = dense, ReprBitset
+	if roaring := roaringEncodedSize(l); roaring < sparse {
+		return roaring, ReprRoaring
 	}
-	if roaring := roaringEncodedSize(l); roaring < best {
-		best, repr = roaring, ReprRoaring
-	}
-	return best, repr
-}
-
-// denseSizeBytes is the Bitset SizeBytes l would have, computed without
-// building it.
-func denseSizeBytes(l List) int64 {
-	if len(l) == 0 {
-		return 0
-	}
-	words := int64(l[len(l)-1]/wordBits-l[0]/wordBits) + 1
-	return 8 + 8*words
+	return sparse, ReprSparse
 }

@@ -11,27 +11,18 @@ import (
 // asRepr encodes l under r (ReprAuto is treated as sparse here; the
 // adaptive policy is exercised separately through ChooseRepr).
 func asRepr(l List, r Repr) Set {
-	switch r {
-	case ReprBitset:
-		return NewBitset(l)
-	case ReprRoaring:
+	if r == ReprRoaring {
 		return NewRoaring(l)
-	default:
-		return l
 	}
+	return l
 }
 
-// reprCombos enumerates the nine operand pairings every kernel dispatch
-// must handle: each of sparse/bitset/roaring against each other.
+// reprCombos enumerates the four operand pairings every kernel dispatch
+// must handle: each of sparse/roaring against each other.
 var reprCombos = [][2]Repr{
 	{ReprSparse, ReprSparse},
-	{ReprSparse, ReprBitset},
 	{ReprSparse, ReprRoaring},
-	{ReprBitset, ReprSparse},
-	{ReprBitset, ReprBitset},
-	{ReprBitset, ReprRoaring},
 	{ReprRoaring, ReprSparse},
-	{ReprRoaring, ReprBitset},
 	{ReprRoaring, ReprRoaring},
 }
 
@@ -42,8 +33,9 @@ func TestParseRepr(t *testing.T) {
 	}{
 		{"", ReprAuto}, {"auto", ReprAuto},
 		{"sparse", ReprSparse},
-		{"bitset", ReprBitset}, {"dense", ReprBitset},
 		{"roaring", ReprRoaring}, {"compressed", ReprRoaring},
+		// The retired flat bitset's names alias roaring.
+		{"bitset", ReprRoaring}, {"dense", ReprRoaring},
 	}
 	for _, c := range cases {
 		got, err := ParseRepr(c.in)
@@ -56,7 +48,7 @@ func TestParseRepr(t *testing.T) {
 	} else if !errors.Is(err, ErrInvalidRepresentation) {
 		t.Fatalf("ParseRepr error %v should wrap ErrInvalidRepresentation", err)
 	}
-	for _, r := range []Repr{ReprAuto, ReprSparse, ReprBitset, ReprRoaring} {
+	for _, r := range []Repr{ReprAuto, ReprSparse, ReprRoaring} {
 		back, err := ParseRepr(r.String())
 		if err != nil || back != r {
 			t.Fatalf("String/Parse round trip broken for %v", r)
@@ -69,27 +61,22 @@ func TestChooseRepr(t *testing.T) {
 	if ChooseRepr(ReprSparse, 1000, 1000) != ReprSparse {
 		t.Fatal("explicit sparse overridden")
 	}
-	if ChooseRepr(ReprBitset, 1, 1<<20) != ReprBitset {
-		t.Fatal("explicit bitset overridden")
-	}
 	if ChooseRepr(ReprRoaring, 1, 100) != ReprRoaring {
 		t.Fatal("explicit roaring overridden")
 	}
-	// Auto: dense at and above the threshold, sparse below.
-	if ChooseRepr(ReprAuto, 32, 1024) != ReprBitset { // density exactly 1/32
-		t.Fatal("auto should pick bitset at the break-even density")
+	// Auto: roaring at and above the threshold, sparse below.
+	if ChooseRepr(ReprAuto, 32, 1024) != ReprRoaring { // density exactly 1/32
+		t.Fatal("auto should pick roaring at the break-even density")
 	}
 	if ChooseRepr(ReprAuto, 31, 1024) != ReprSparse {
 		t.Fatal("auto should pick sparse just below the threshold")
 	}
-	// Auto: dense classes spanning more than RoaringSpanChunks chunks go
-	// containerized; the same density within the span stays flat.
-	wide := RoaringSpanChunks*chunkSize + 1
-	if ChooseRepr(ReprAuto, wide/16, wide) != ReprRoaring {
-		t.Fatal("auto should pick roaring for a dense wide-span class")
-	}
-	if ChooseRepr(ReprAuto, chunkSize/16, chunkSize) != ReprBitset {
-		t.Fatal("auto should keep the flat bitset within the span limit")
+	// Dense classes go roaring whatever their span: a narrow class fits
+	// one chunk, a wide one spans many.
+	for _, span := range []int{chunkSize, 8*chunkSize + 1} {
+		if ChooseRepr(ReprAuto, span/16, span) != ReprRoaring {
+			t.Fatalf("auto should pick roaring for a dense class spanning %d tids", span)
+		}
 	}
 	// Degenerate inputs stay sparse.
 	if ChooseRepr(ReprAuto, 0, 100) != ReprSparse || ChooseRepr(ReprAuto, 5, 0) != ReprSparse {
@@ -223,9 +210,9 @@ func TestConvertRoundTrip(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		l := randomList(rng, 80, 5000)
 		var ks KernelStats
-		dense := Convert(l, ReprBitset, &ks)
-		if dense.Repr() != ReprBitset {
-			t.Fatal("Convert to bitset returned wrong representation")
+		dense := Convert(l, ReprRoaring, &ks)
+		if dense.Repr() != ReprRoaring {
+			t.Fatal("Convert to roaring returned wrong representation")
 		}
 		back := Convert(dense, ReprSparse, &ks)
 		if !equalTIDs(TIDsOf(back), l) {
@@ -246,7 +233,7 @@ func TestConvertRoundTrip(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	for _, r := range []Repr{ReprSparse, ReprBitset, ReprRoaring} {
+	for _, r := range []Repr{ReprSparse, ReprRoaring} {
 		if _, _, ok := Bounds(asRepr(nil, r)); ok {
 			t.Fatalf("%v: empty set has bounds", r)
 		}
@@ -273,9 +260,6 @@ func TestHashTIDsAgreesAcrossRepresentations(t *testing.T) {
 		if got := HashTIDs(l); got != wantSum {
 			t.Fatalf("sparse HashTIDs = %d, want %d", got, wantSum)
 		}
-		if got := HashTIDs(NewBitset(l)); got != wantSum {
-			t.Fatalf("dense HashTIDs = %d, want %d", got, wantSum)
-		}
 		if got := HashTIDs(NewRoaring(l)); got != wantSum {
 			t.Fatalf("roaring HashTIDs = %d, want %d", got, wantSum)
 		}
@@ -287,20 +271,22 @@ func TestEncodedSize(t *testing.T) {
 	if n, r := EncodedSize(l, ReprSparse); n != 16 || r != ReprSparse {
 		t.Fatalf("sparse EncodedSize = %d/%v", n, r)
 	}
-	if n, r := EncodedSize(l, ReprBitset); n != 16 || r != ReprBitset {
-		t.Fatalf("dense EncodedSize = %d/%v (want 8 header + 1 word)", n, r)
-	}
-	// Auto ships the cheaper encoding: 4 tids in one word ties at 16
-	// bytes (dense is not strictly smaller, so sparse wins the tie); 5
-	// tids in one word favors dense.
+	// Auto ships the cheaper encoding: a handful of tids stays sparse
+	// (roaring's header and descriptor outweigh them).
 	if n, r := EncodedSize(l, ReprAuto); n != 16 || r != ReprSparse {
-		t.Fatalf("auto EncodedSize = %d/%v, want sparse tie-break", n, r)
+		t.Fatalf("auto EncodedSize = %d/%v, want sparse", n, r)
 	}
-	l5 := mk(0, 1, 2, 3, 63)
-	if n, r := EncodedSize(l5, ReprAuto); n != 16 || r != ReprBitset {
-		t.Fatalf("auto EncodedSize(5 tids/word) = %d/%v, want 16/bitset", n, r)
+	// A dense list — every other tid over 4096 tids — packs into one
+	// bitmap container: 8 header + 8 descriptor + 64 words, well under
+	// the 8 KiB sparse encoding.
+	var dense List
+	for i := 0; i < 4096; i += 2 {
+		dense = append(dense, itemset.TID(i))
 	}
-	// Widely spread tids: dense pays per covered word, sparse per tid.
+	if n, r := EncodedSize(dense, ReprAuto); n != 16+64*8 || r != ReprRoaring {
+		t.Fatalf("auto EncodedSize(dense) = %d/%v, want %d/roaring", n, r, 16+64*8)
+	}
+	// Widely spread tids: roaring pays per chunk, sparse per tid.
 	spread := mk(0, 1_000_000)
 	if n, r := EncodedSize(spread, ReprAuto); n != 8 || r != ReprSparse {
 		t.Fatalf("auto EncodedSize(spread) = %d/%v, want 8/sparse", n, r)
@@ -309,22 +295,18 @@ func TestEncodedSize(t *testing.T) {
 		t.Fatalf("empty EncodedSize = %d", n)
 	}
 	// EncodedSize must agree with the sizes the real encodings report,
-	// and auto must return the minimum of the three.
+	// and auto must return the minimum of the two.
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 50; trial++ {
 		l := randomList(rng, 60, 2000)
-		if n, _ := EncodedSize(l, ReprBitset); n != NewBitset(l).SizeBytes() {
-			t.Fatalf("EncodedSize dense %d != Bitset.SizeBytes %d for %v", n, NewBitset(l).SizeBytes(), l)
-		}
 		nr, _ := EncodedSize(l, ReprRoaring)
 		if got := NewRoaring(l).SizeBytes(); nr != got {
 			t.Fatalf("EncodedSize roaring %d != Roaring.SizeBytes %d for %v", nr, got, l)
 		}
 		na, _ := EncodedSize(l, ReprAuto)
 		ns, _ := EncodedSize(l, ReprSparse)
-		nb, _ := EncodedSize(l, ReprBitset)
-		if na != min(ns, nb, nr) {
-			t.Fatalf("auto EncodedSize %d is not the minimum of %d/%d/%d", na, ns, nb, nr)
+		if na != min(ns, nr) {
+			t.Fatalf("auto EncodedSize %d is not the minimum of %d/%d", na, ns, nr)
 		}
 	}
 	// A clustered list far apart compresses best under roaring: runs
@@ -341,42 +323,60 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestBitsetFarFromZeroStaysCompact: the dense word-packed encoding is
+// roaring's bitmap container, and a dense set whose tids cluster near
+// 10^9 must occupy one chunk with a word window trimmed to its members,
+// not words counted from zero.
 func TestBitsetFarFromZeroStaysCompact(t *testing.T) {
-	// A class whose tids cluster near 10^9 must not allocate words from
-	// zero: the word-aligned base anchors the span.
-	l := mk(1_000_000_000, 1_000_000_005, 1_000_000_063, 1_000_000_100)
-	b := NewBitset(l)
-	if len(b.words) > 2 {
-		t.Fatalf("bitset spans %d words, want <= 2", len(b.words))
+	const base = 1_000_000_000
+	var l List
+	for i := 0; i < 200; i += 2 {
+		l = append(l, base+itemset.TID(i))
 	}
-	if b.base%wordBits != 0 {
-		t.Fatalf("base %d not word-aligned", b.base)
+	r := NewRoaring(l)
+	if len(r.keys) != 1 || r.ctrs[0].kind != ctBitmap {
+		t.Fatalf("dense set near 10^9 built %d containers (first kind %d), want one bitmap", len(r.keys), r.ctrs[0].kind)
 	}
-	if !equalTIDs(b.TIDs(), l) {
-		t.Fatalf("round trip lost tids: %v", b.TIDs())
+	if n := len(r.ctrs[0].words); n > 5 {
+		t.Fatalf("bitmap spans %d words, want <= 5", n)
+	}
+	if !equalTIDs(r.TIDs(), l) {
+		t.Fatalf("round trip lost tids: %v", r.TIDs())
 	}
 }
 
+// TestBitsetContains probes membership inside a bitmap container, the
+// word-packed encoding that replaced the flat bitset, on both sides of
+// every member and outside the trimmed word window.
 func TestBitsetContains(t *testing.T) {
-	b := NewBitset(mk(64, 70, 200))
-	for _, tid := range []itemset.TID{64, 70, 200} {
-		if !b.Contains(tid) {
-			t.Fatalf("Contains(%d) = false", tid)
+	var l List
+	for i := 64; i < 256; i += 3 {
+		l = append(l, itemset.TID(i))
+	}
+	r := NewRoaring(l)
+	if r.ctrs[0].kind != ctBitmap {
+		t.Fatalf("container kind %d, want bitmap", r.ctrs[0].kind)
+	}
+	member := map[itemset.TID]bool{}
+	for _, tid := range l {
+		member[tid] = true
+	}
+	for tid := itemset.TID(0); tid < 320; tid++ {
+		if r.Contains(tid) != member[tid] {
+			t.Fatalf("Contains(%d) = %v, want %v", tid, r.Contains(tid), member[tid])
 		}
 	}
-	for _, tid := range []itemset.TID{0, 63, 65, 199, 201, 100000} {
-		if b.Contains(tid) {
-			t.Fatalf("Contains(%d) = true", tid)
-		}
+	if r.Contains(100000) {
+		t.Fatal("Contains(100000) = true outside every chunk")
 	}
 }
 
 func TestKernelStatsAddAndFlush(t *testing.T) {
 	var a, b KernelStats
-	a.sparseOps, a.wordsTouched, a.conversions = 3, 5, 1
-	b.sparseOps, b.denseIntersections = 2, 7
+	a.sparseOps, a.roaringWords, a.conversions = 3, 5, 1
+	b.sparseOps, b.roaringIntersections = 2, 7
 	a.Add(b)
-	if a.SparseOps() != 5 || a.WordsTouched() != 5 || a.Conversions() != 1 || a.DenseIntersections() != 7 {
+	if a.SparseOps() != 5 || a.WordsTouched() != 5 || a.Conversions() != 1 || a.RoaringIntersections() != 7 {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 	var prev KernelStats
@@ -392,32 +392,24 @@ func TestKernelStatsAddAndFlush(t *testing.T) {
 	}
 }
 
-// assertOpsCounted checks that the kernel charged its ops to the stats
-// fields the cluster cost model reads for that operand pairing: element
-// comparisons for sparse/mixed dispatches, words for dense ones, and
-// the per-container element/word split for containerized dispatches —
-// and that the total charged always equals the returned ops.
+// assertOpsCounted checks that an intersection kernel charged its ops
+// to the stats fields the cluster cost model reads for that operand
+// pairing: element comparisons for sparse/mixed dispatches and the
+// per-container element/word split for containerized dispatches — and
+// that the total charged always equals the returned ops.
 func assertOpsCounted(t *testing.T, ks *KernelStats, combo [2]Repr, ops int64) {
 	t.Helper()
-	total := ks.SparseOps() + ks.WordsTouched() + ks.RoaringElemOps() + ks.RoaringWords()
+	total := ks.SparseOps() + ks.WordsTouched() + ks.RoaringElemOps()
 	if total != ops {
 		t.Fatalf("combo %v/%v: charged %d ops across stats fields, returned ops=%d", combo[0], combo[1], total, ops)
 	}
-	switch {
-	case combo[0] == ReprSparse || combo[1] == ReprSparse:
+	if combo[0] == ReprSparse || combo[1] == ReprSparse {
 		// A sparse operand routes to the merge or probe kernel.
 		if ks.SparseOps() != ops {
 			t.Fatalf("combo %v/%v: SparseOps=%d, returned ops=%d", combo[0], combo[1], ks.SparseOps(), ops)
 		}
-	case combo[0] == ReprBitset && combo[1] == ReprBitset:
-		if ks.WordsTouched() != ops {
-			t.Fatalf("combo %v/%v: WordsTouched=%d, returned ops=%d", combo[0], combo[1], ks.WordsTouched(), ops)
-		}
-	default:
-		// A roaring operand (vs roaring or bitset) runs container kernels.
-		if ks.RoaringElemOps()+ks.RoaringWords() != ops {
-			t.Fatalf("combo %v/%v: roaring ops %d+%d, returned ops=%d", combo[0], combo[1], ks.RoaringElemOps(), ks.RoaringWords(), ops)
-		}
+	} else if ks.RoaringElemOps()+ks.WordsTouched() != ops {
+		t.Fatalf("combo %v/%v: roaring ops %d+%d, returned ops=%d", combo[0], combo[1], ks.RoaringElemOps(), ks.WordsTouched(), ops)
 	}
 }
 

@@ -13,10 +13,11 @@
 //
 // The sorted slice is one of two pluggable representations behind the Set
 // abstraction (see set.go): SparseList (this file's List) keeps the
-// paper's scalar merge kernels, and Bitset (bitset.go) packs 64 TIDs per
-// word and intersects with AND + popcount. ChooseRepr picks between them
-// per equivalence class by density, and the IntersectSets/DiffSets
-// dispatchers let the mining recursion stay representation-agnostic.
+// paper's scalar merge kernels, and Roaring (roaring.go) splits tid space
+// into 64K-tid chunks stored as arrays, word-packed bitmaps or runs.
+// ChooseRepr picks between them per equivalence class by density, and
+// the IntersectSets/DiffSets dispatchers let the mining recursion stay
+// representation-agnostic.
 package tidlist
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -94,5 +95,61 @@ func TestMineMemoryBudgetIgnoredForMemorySources(t *testing.T) {
 	}
 	if info.OutOfCore {
 		t.Fatal("in-memory mine claims to be out-of-core")
+	}
+}
+
+// TestLegacyBitsetBundleMinesLikeHorizontal mines the committed store
+// dataset written by the release that still spilled flat bitsets
+// (internal/store/testdata/legacy-bitset): the bundle must open, its
+// bitset records must be skipped, and every representation must mine
+// byte-identically to the dataset's own horizontal data.
+func TestLegacyBitsetBundleMinesLikeHorizontal(t *testing.T) {
+	const src = "internal/store/testdata/legacy-bitset/legacy.ds"
+	path := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(path, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := store.OpenDataset(path)
+	if err != nil {
+		t.Fatalf("open legacy bundle: %v", err)
+	}
+	defer ds.Close()
+	d, err := ds.Horizontal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, repr := range []Representation{ReprAuto, ReprSparse, ReprRoaring, ReprBitset} {
+		opts := MineOptions{SupportCount: 3, Representation: repr}
+		want, _, err := Mine(context.Background(), d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := MineFrom(context.Background(), ds, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", repr, err)
+		}
+		var wantBuf, gotBuf bytes.Buffer
+		if err := WriteResult(&wantBuf, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteResult(&gotBuf, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Itemsets) == 0 {
+			t.Fatalf("%v: nothing frequent; the check would be vacuous", repr)
+		}
+		if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("%v: legacy bundle mine differs from its horizontal data", repr)
+		}
 	}
 }

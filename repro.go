@@ -127,9 +127,8 @@ type (
 	PhaseSpan = obsv.PhaseSpan
 	// Representation selects the tid-set representation Eclat-family
 	// algorithms mine through: ReprAuto (the zero value) decides per
-	// equivalence class by density and tid span, ReprSparse forces the
-	// paper's sorted tid-lists, ReprBitset forces the word-packed dense
-	// kernel, ReprRoaring forces the containerized compressed encoding.
+	// equivalence class by density, ReprSparse forces the paper's sorted
+	// tid-lists, ReprRoaring forces the containerized compressed encoding.
 	Representation = tidlist.Repr
 )
 
@@ -137,14 +136,18 @@ type (
 const (
 	ReprAuto    = tidlist.ReprAuto
 	ReprSparse  = tidlist.ReprSparse
-	ReprBitset  = tidlist.ReprBitset
 	ReprRoaring = tidlist.ReprRoaring
+	// Deprecated: the flat word-packed bitset encoding is retired;
+	// roaring's bitmap containers are the dense encoding. ReprBitset is
+	// an alias of ReprRoaring.
+	ReprBitset = tidlist.ReprRoaring
 )
 
 // ParseRepresentation parses a representation name ("auto", "sparse",
-// "bitset", "roaring"; "" means auto) — the values the -repr flag and the
-// service's representation job field accept. Unknown names fail with an
-// error matching ErrInvalidRepresentation.
+// "roaring"; "" means auto; "bitset", "dense" and "compressed" are
+// aliases of roaring) — the values the -repr flag and the service's
+// representation job field accept. Unknown names fail with an error
+// matching ErrInvalidRepresentation.
 func ParseRepresentation(s string) (Representation, error) { return tidlist.ParseRepr(s) }
 
 // NewItemset builds a sorted, deduplicated itemset.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -225,5 +226,43 @@ func TestAlgorithmNames(t *testing.T) {
 		if a.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", a, a.String(), want)
 		}
+	}
+}
+
+// TestBitsetAliasMinesLikeRoaring pins the retired "bitset" and "dense"
+// names: they parse as roaring and mine byte-identically to roaring and
+// to the sparse reference through Mine.
+func TestBitsetAliasMinesLikeRoaring(t *testing.T) {
+	d, err := Generate(StandardConfig(800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := func(repr Representation) []byte {
+		t.Helper()
+		res, _, err := Mine(context.Background(), d, MineOptions{SupportPct: 1.0, Representation: repr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := mine(ReprSparse)
+	if !bytes.Equal(mine(ReprRoaring), want) {
+		t.Fatal("roaring mine differs from sparse")
+	}
+	for _, name := range []string{"bitset", "dense"} {
+		repr, err := ParseRepresentation(name)
+		if err != nil || repr != ReprRoaring {
+			t.Fatalf("ParseRepresentation(%q) = %v, %v; want roaring", name, repr, err)
+		}
+		if !bytes.Equal(mine(repr), want) {
+			t.Fatalf("%q mine differs from sparse", name)
+		}
+	}
+	if ReprBitset != ReprRoaring {
+		t.Fatal("ReprBitset must alias ReprRoaring")
 	}
 }

@@ -36,9 +36,8 @@ type Result struct {
 	Benchmark string `json:"benchmark"`
 	// Density is the tid density of the operands (e.g. "5%").
 	Density string `json:"density"`
-	// Kernel is "sparse", "bitset", "roaring", "adaptive" or
-	// "diffset" (the dEclat difference kernel on adaptively encoded
-	// operands).
+	// Kernel is "sparse", "roaring", "adaptive" or "diffset" (the
+	// dEclat difference kernel on adaptively encoded operands).
 	Kernel string `json:"kernel"`
 	// NsPerOp is the fastest observed time per intersection.
 	NsPerOp float64 `json:"nsPerOp"`

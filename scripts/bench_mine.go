@@ -5,7 +5,7 @@
 // BenchmarkMineSequentialAlloc in internal/eclat) and writes the results
 // to BENCH_mine.json at the repository root — the committed perf
 // trajectory for the real hot path: MineSequential vs MineParallelLocal
-// at 1/2/4/8 workers, sparse vs bitset representation, the class-task
+// at 1/2/4/8 workers on the sparse representation, the class-task
 // engine's maximal/closed scaling at 1/2/4 workers plus a top-k row, and
 // the scratch arena's allocs/op effect on the sequential recursion.
 //
@@ -39,7 +39,7 @@ import (
 
 // MineResult is one MineParallelLocal benchmark line.
 type MineResult struct {
-	// Repr is the tid-set representation ("sparse" or "bitset").
+	// Repr is the tid-set representation ("sparse").
 	Repr string `json:"repr"`
 	// Workers is the worker-goroutine count; 0 marks the MineSequential
 	// baseline ("workers=seq").
@@ -201,7 +201,7 @@ func main() {
 	sort.Slice(snap.Mine, func(i, j int) bool {
 		a, b := snap.Mine[i], snap.Mine[j]
 		if a.Repr != b.Repr {
-			return a.Repr > b.Repr // sparse before bitset
+			return a.Repr > b.Repr // reverse name order
 		}
 		return a.Workers < b.Workers
 	})

@@ -35,7 +35,6 @@ type KernelGold struct {
 	SparseOps      int64 `json:"sparseOps"`
 	WordsTouched   int64 `json:"wordsTouched"`
 	RoaringElemOps int64 `json:"roaringElemOps"`
-	RoaringWords   int64 `json:"roaringWords"`
 	Conversions    int64 `json:"conversions"`
 }
 
@@ -108,7 +107,6 @@ func kernelGold(k *tidlist.KernelStats) KernelGold {
 		SparseOps:      k.SparseOps(),
 		WordsTouched:   k.WordsTouched(),
 		RoaringElemOps: k.RoaringElemOps(),
-		RoaringWords:   k.RoaringWords(),
 		Conversions:    k.Conversions(),
 	}
 }
@@ -128,7 +126,7 @@ func main() {
 		{"T10I6-2000", t10, t10.MinSupCount(0.6)},
 		{"T5I2-800", t5, t5.MinSupCount(1.0)},
 	}
-	reprs := []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprBitset, tidlist.ReprRoaring}
+	reprs := []tidlist.Repr{tidlist.ReprAuto, tidlist.ReprSparse, tidlist.ReprRoaring}
 
 	var entries []Entry
 	for _, d := range datasets {
